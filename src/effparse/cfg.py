@@ -28,18 +28,14 @@ from typing import Iterable
 
 from .core import (
     Ch,
-    CommandKind,
+    Command,
     Computation,
     EffectId,
     EffectRow,
     ListV,
     NodeV,
-    Op,
     PARSER_ROW,
-    Pure,
     Str,
-    TRUE,
-    FALSE,
     UNIT,
     Value,
     bind,
@@ -49,7 +45,8 @@ from .core import (
     pure,
     symbol_strict,
 )
-from .handlers import Done, RecursiveFn, TerminationInvariantError, run_with_fuel
+from .handlers import Done, RecursiveFn, TerminationInvariantError, _unfold, run_with_fuel
+from .semantics import _drive
 
 __all__ = [
     "CFG_ROW",
@@ -476,32 +473,16 @@ def expanded_parser(g: Grammar, a: Nonterminal, depth: int) -> Computation:
     under the two-effect parser row — useful for language-membership
     reasoning, which wants computations without recursion.
     """
-
-    def expand(m: Computation, remaining: int) -> Computation:
-        if isinstance(m, Pure):
-            return m
-        assert isinstance(m, Op)
-        resume = m.resume
-        if m.command.kind is CommandKind.CALL:
-            if remaining == 0:
-                return fail(PARSER_ROW)
-            payload = m.command.payload
-            assert isinstance(payload, Str)
-            unfolded = bind(from_prods(g, Nonterminal(payload.text)), resume)
-            return expand(unfolded, remaining - 1)
-        return Op(
-            PARSER_ROW,
-            m.index - 1,
-            m.command,
-            lambda response: expand(resume(response), remaining),
-        )
-
-    return expand(from_prods(g, a), depth)
+    return _unfold(from_prods_fn(g), from_prods(g, a), depth, fail(PARSER_ROW))
 
 
 # ---------------------------------------------------------------------------
 # The recursion variant, instrumented
 # ---------------------------------------------------------------------------
+
+
+class _VariantBroken(Exception):
+    pass
 
 
 def check_variant(g: Grammar, samples: Iterable[tuple[Nonterminal, str]]) -> bool:
@@ -517,45 +498,29 @@ def check_variant(g: Grammar, samples: Iterable[tuple[Nonterminal, str]]) -> boo
     link_pairs = {(source, target) for source, target, _ in report.links}
     seen: set[tuple[Nonterminal, str]] = set()
     queue: list[tuple[Nonterminal, str]] = list(samples)
-    ok = True
 
-    def walk(m: Computation, state: str, caller: Nonterminal, start: str) -> bool:
-        if isinstance(m, Pure):
-            return True
-        assert isinstance(m, Op)
-        command = m.command
-        if command.kind is CommandKind.FAIL:
-            return True
-        if command.kind is CommandKind.CHOICE:
-            return walk(m.resume(TRUE), state, caller, start) and walk(
-                m.resume(FALSE), state, caller, start
-            )
-        if command.kind is CommandKind.SYMBOL:
-            if state == "":
-                return True
-            return walk(m.resume(Ch(state[0])), state[1:], caller, start)
-        assert command.kind is CommandKind.CALL
+    def answer(command: Command, state: str | None, fuel: int) -> list[tuple[Computation, str, int]]:
         payload = command.payload
-        assert isinstance(payload, Str)
+        assert isinstance(payload, Str) and state is not None
         callee = Nonterminal(payload.text)
         shrinks = len(state) < len(start)
         linked = (caller, callee) in link_pairs and len(state) <= len(start)
         if not (shrinks or linked):
-            return False
+            raise _VariantBroken
         queue.append((callee, state))
-        good = True
-        for child, remainder in spec_produce(g, callee, state):
-            good = good and walk(m.resume(NodeV(child)), remainder, caller, start)
-        return good
+        return [(pure(NodeV(child)), remainder, fuel) for child, remainder in spec_produce(g, callee, state)]
 
     while queue:
         entry = queue.pop(0)
         if entry in seen:
             continue
         seen.add(entry)
-        nt, text = entry
-        ok = ok and walk(from_prods(g, nt), text, nt, text)
-    return ok
+        caller, start = entry
+        try:
+            _drive(from_prods(g, caller), start, 0, answer)
+        except _VariantBroken:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .cfg import (
+    CyclicGrammarError,
     Grammar,
     GrammarError,
     Nonterminal,
@@ -185,17 +186,16 @@ def cmd_cfg_parse(path: str, start: str, text: str, config: CliConfig) -> int:
             for value, state in outcome.results
         ]
     else:
-        report = chain_bound(grammar)
-        if report.cyclic:
-            assert report.cycle is not None
-            print(f"cyclic: {_cycle_text(report.cycle)}", file=sys.stderr)
-            return 1
         try:
             results = list(cfg_parse(grammar, start_nt, text))
+        except CyclicGrammarError as error:
+            print(f"cyclic: {_cycle_text(error.cycle)}", file=sys.stderr)
+            return 1
         except TerminationInvariantError as error:
             print(f"error: {error}", file=sys.stderr)
             return 3
-    full = list(dict.fromkeys(node for node, remainder in results if remainder == ""))
+    # Each derivation fixes its own choice path, so none comes twice.
+    full = [node for node, remainder in results if remainder == ""]
     if config.format == "json-lines":
         lines = [json.dumps(_node_obj(node), separators=(",", ":")) for node in full]
     else:

@@ -14,12 +14,20 @@ Three ways of discharging effects live here:
 :func:`terminates_in` is the matching predicate form: it asks whether a
 computation's recursive calls all bottom out within a fuel bound, judging
 the other effects through a semantics row for the tail of the effect row.
+
+The runners share one iterative interpreter with
+:func:`~effparse.semantics.results_demonic` and the grammar checks; each
+says only what a recursive call means (reject it, expand it on fuel).  It
+keeps pending branches and continuations as data, not Python frames, so
+how deep a run may go is bounded by memory, not by
+``sys.getrecursionlimit()``.  The unfolding behind :func:`terminates_in`
+is likewise shared with :func:`~effparse.cfg.expanded_parser`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .core import (
     Ch,
@@ -33,14 +41,11 @@ from .core import (
     Pure,
     RowError,
     Str,
-    TRUE,
-    FALSE,
     UNIT,
     Value,
-    bind,
     fmap,
 )
-from .semantics import SemanticsRow
+from .semantics import SemanticsRow, _drive, _read_optional, wp_stateful
 
 __all__ = [
     "Done",
@@ -106,23 +111,7 @@ EXHAUSTED = Exhausted()
 # ---------------------------------------------------------------------------
 
 
-def _run_parser(m: Computation, state: str, keep_partial: bool) -> list[tuple[Value, str]]:
-    if isinstance(m, Pure):
-        if state == "" or keep_partial:
-            return [(m.value, state)]
-        return []
-    assert isinstance(m, Op)
-    command = m.command
-    if command.kind is CommandKind.FAIL:
-        return []
-    if command.kind is CommandKind.CHOICE:
-        return _run_parser(m.resume(TRUE), state, keep_partial) + _run_parser(
-            m.resume(FALSE), state, keep_partial
-        )
-    if command.effect is EffectId.PARSER_STRICT:
-        if state == "":
-            return []
-        return _run_parser(m.resume(Ch(state[0])), state[1:], keep_partial)
+def _reject_command(command: Command, state: str | None, fuel: int) -> NoReturn:
     raise RowError(f"run_parser cannot handle a {command.effect.value} command")
 
 
@@ -133,7 +122,7 @@ def run_parser(m: Computation, text: str) -> tuple[tuple[Value, str], ...]:
     survives only if it consumes the whole input, so every returned
     remainder is the empty string.
     """
-    return tuple(_run_parser(m, text, keep_partial=False))
+    return tuple(leaf for leaf in _drive(m, text, 0, _reject_command) if leaf[1] == "")
 
 
 def run_parser_prefix(m: Computation, text: str) -> tuple[tuple[Value, str], ...]:
@@ -141,7 +130,7 @@ def run_parser_prefix(m: Computation, text: str) -> tuple[tuple[Value, str], ...
 
     This is the composable sub-handler form: callers judge the leftovers.
     """
-    return tuple(_run_parser(m, text, keep_partial=True))
+    return tuple(_drive(m, text, 0, _reject_command))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +203,42 @@ def handle_rec(
 # ---------------------------------------------------------------------------
 
 
+#: The leaf an unfolding leaves where a call found no fuel; see terminates_in.
+_RAN_DRY = Value()
+
+
+def _unfold(f: RecursiveFn, m: Computation, fuel: int, dry: Computation) -> Computation:
+    """``m`` with ``f``'s recursive calls substituted up to ``fuel`` deep.
+
+    The result runs over ``f``'s row without its head recursion effect,
+    with every other command shifted one position down.  A call past the
+    budget ends its path in ``dry``.  Unfolding is lazy, one command at a
+    time, and keeps the callers' continuations as a linked list, so deep
+    call nesting never nests ``bind``.
+    """
+    tail = EffectRow(f.row.effects[1:])
+
+    def go(m: Computation, konts: tuple | None, fuel: int) -> Computation:
+        while True:
+            if isinstance(m, Pure):
+                if konts is None:
+                    return m
+                resume, konts = konts
+                m = resume(m.value)
+                continue
+            assert isinstance(m, Op)
+            if m.command.effect is not EffectId.REC:
+                resume = m.resume
+                return Op(tail, m.index - 1, m.command, lambda response: go(resume(response), konts, fuel))
+            if m.index != 0:
+                raise RowError("recursion must sit at the head of the row")
+            if fuel == 0:
+                return dry
+            m, konts, fuel = f.body(m.command.payload), (m.resume, konts), fuel - 1
+
+    return go(m, None, fuel)
+
+
 def terminates_in(
     tail_row: SemanticsRow,
     f: RecursiveFn,
@@ -230,29 +255,9 @@ def terminates_in(
     recursion — with the continuation judged at the *same* fuel, so under
     an all-results transformer every branch must terminate.
     """
-    if isinstance(m, Pure):
-        return True
-    assert isinstance(m, Op)
-    resume = m.resume
-    if m.command.effect is EffectId.REC:
-        if m.index != 0:
-            raise RowError("recursion must sit at the head of the row")
-        if fuel == 0:
-            return False
-        payload = m.command.payload
-        return terminates_in(tail_row, f, bind(f.body(payload), resume), fuel - 1, state0)
-    if m.index == 0 or m.index - 1 >= len(tail_row.transformers):
-        raise RowError(f"no tail transformer for effect position {m.index}")
-    pt = tail_row.transformers[m.index - 1]
-    if pt.effect is not m.command.effect:
-        raise RowError(
-            f"tail transformer {m.index - 1} handles {pt.effect.value}, "
-            f"but the command is for {m.command.effect.value}"
-        )
-    return pt.transform(
-        m.command,
-        lambda response, next_state: terminates_in(tail_row, f, resume(response), fuel, next_state),
-        state0,
+    unfolded = _unfold(f, m, fuel, Pure(_RAN_DRY))
+    return wp_stateful(
+        tail_row, unfolded, lambda value, _state: value is not _RAN_DRY, state0  # type: ignore[arg-type]
     )
 
 
@@ -289,42 +294,15 @@ def run_with_fuel(
     path was explored to the end, with results in the same order
     ``results_demonic`` would give.
     """
-    results: list[tuple[Value, str | None]] = []
 
-    def go(m: Computation, remaining: int, state: str | None) -> None:
-        if isinstance(m, Pure):
-            results.append((m.value, state))
-            return
-        assert isinstance(m, Op)
-        command = m.command
-        if command.kind is CommandKind.FAIL:
-            return
-        if command.kind is CommandKind.CHOICE:
-            go(m.resume(TRUE), remaining, state)
-            go(m.resume(FALSE), remaining, state)
-            return
-        if command.kind is CommandKind.CALL:
-            if remaining == 0:
-                raise _OutOfFuel
-            go(bind(f.body(command.payload), m.resume), remaining - 1, state)
-            return
-        if state is None:
-            raise ValueError("computation reads input; supply state0")
-        if command.effect is EffectId.PARSER_STRICT:
-            if state == "":
-                return
-            go(m.resume(Ch(state[0])), remaining, state[1:])
-            return
-        if command.effect is EffectId.PARSER_MAYBE:
-            if state == "":
-                go(m.resume(UNIT), remaining, "")
-            else:
-                go(m.resume(Ch(state[0])), remaining, state[1:])
-            return
-        raise RowError(f"run_with_fuel cannot handle a {command.effect.value} command")
+    def expand(command: Command, state: str | None, remaining: int) -> tuple:
+        if command.kind is not CommandKind.CALL:
+            return _read_optional(state, remaining)
+        if remaining == 0:
+            raise _OutOfFuel
+        return ((f.body(command.payload), state, remaining - 1),)
 
     try:
-        go(f.body(call_input), fuel, state0)
+        return Done(tuple(_drive(f.body(call_input), state0, fuel, expand)))
     except _OutOfFuel:
         return EXHAUSTED
-    return Done(tuple(results))

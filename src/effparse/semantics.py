@@ -15,7 +15,9 @@ the parser state after it.  Transformers for stateless effects simply pass
 :func:`results_demonic` enumerates every reachable leaf of a computation in
 a fixed order; for all-results rows ``wp`` is equivalent to quantifying over
 that enumeration, which is what makes refinement executable
-(:func:`refines_all`, :func:`refines_any`).
+(:func:`refines_all`, :func:`refines_any`).  It runs on the one iterative
+interpreter, ``_drive``, that the handlers and the grammar checks share;
+``wp`` stays a direct recursive fold, the reference reading of the paper.
 """
 
 from __future__ import annotations
@@ -280,6 +282,73 @@ def wp_spec(spec: Spec, post: Callable[[Value], bool], candidates: Iterable[Valu
 # ---------------------------------------------------------------------------
 
 
+#: One way on from a command the driver leaves to its caller: a computation
+#: whose result answers the command, with the state and fuel to run it at.
+_Branch = tuple[Computation, "str | None", int]
+#: A caller's meaning for recursive calls (and optional reads): the branches
+#: to explore, in order, each continuing through the command's resumption.
+_CommandRule = Callable[[Command, "str | None", int], Sequence[_Branch]]
+
+_PURE_FALSE = Pure(FALSE)
+
+
+def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> list[tuple[Value, str | None]]:
+    """Every leaf of ``m`` with its final state, depth-first, left to right.
+
+    The one interpreter behind :func:`results_demonic` and the runners in
+    :mod:`effparse.handlers` and :mod:`effparse.cfg`.  It reads choices as
+    lists of successes (true branch first) and strict symbol reads from
+    ``state``; every other command goes to ``rule``.  Nothing recurses on
+    the Python stack: pending branches sit on an explicit work list, and
+    each branch carries its continuations as a linked list ``(resume,
+    rest)``, so entering a call pushes the call's resumption rather than
+    binding the callee's body to it.  Depth is bounded by memory alone.
+    """
+    leaves: list[tuple[Value, str | None]] = []
+    work: list[tuple[Computation, str | None, int, tuple | None]] = [(m, state, fuel, None)]
+    while work:
+        m, state, fuel, konts = work.pop()
+        while True:
+            if isinstance(m, Pure):
+                if konts is None:
+                    leaves.append((m.value, state))
+                    break
+                resume, konts = konts
+                m = resume(m.value)
+                continue
+            assert isinstance(m, Op)
+            command = m.command
+            if command.kind is CommandKind.CHOICE:
+                work.append((_PURE_FALSE, state, fuel, (m.resume, konts)))
+                m = m.resume(TRUE)
+            elif command.kind is CommandKind.FAIL:
+                break
+            elif command.effect is EffectId.PARSER_STRICT:
+                if state is None:
+                    raise ValueError("computation reads input; supply state0")
+                if state == "":
+                    break
+                m, state = m.resume(Ch(state[0])), state[1:]
+            else:
+                konts = (m.resume, konts)
+                branches = rule(command, state, fuel)
+                if not branches:
+                    break
+                for branch_m, branch_state, branch_fuel in reversed(branches[1:]):
+                    work.append((branch_m, branch_state, branch_fuel, konts))
+                m, state, fuel = branches[0]
+    return leaves
+
+
+def _read_optional(state: str | None, fuel: int) -> tuple[_Branch]:
+    """Answer an optional symbol read: the next character, or unit at the end."""
+    if state is None:
+        raise ValueError("computation reads input; supply state0")
+    if state == "":
+        return ((Pure(UNIT), "", fuel),)
+    return ((Pure(Ch(state[0])), state[1:], fuel),)
+
+
 def results_demonic(
     m: Computation,
     rec_inv: Invariant | None = None,
@@ -296,52 +365,22 @@ def results_demonic(
     ``P`` holds on every value enumerated here; for the angelic reading,
     when it holds on at least one.
     """
-    out: list[tuple[Value, str | None]] = []
 
-    def go(node: Computation, state: str | None) -> None:
-        if isinstance(node, Pure):
-            out.append((node.value, state))
-            return
-        assert isinstance(node, Op)
-        command = node.command
-        if command.kind is CommandKind.FAIL:
-            return
-        if command.kind is CommandKind.CHOICE:
-            go(node.resume(TRUE), state)
-            go(node.resume(FALSE), state)
-            return
-        if command.kind is CommandKind.CALL:
-            if rec_inv is None:
-                raise MissingInvariantError(
-                    "computation issues recursive calls; supply rec_inv to enumerate them"
-                )
-            for output in rec_inv.outputs_for(command.payload):
-                go(node.resume(output), state)
-            return
-        # A symbol read, strict or optional.
-        if state is None:
-            raise ValueError("computation reads input; supply state0")
-        if command.effect is EffectId.PARSER_STRICT:
-            if state == "":
-                return
-            go(node.resume(Ch(state[0])), state[1:])
-            return
-        if state == "":
-            go(node.resume(UNIT), "")
-        else:
-            go(node.resume(Ch(state[0])), state[1:])
+    def answer(command: Command, state: str | None, fuel: int) -> Sequence[_Branch]:
+        if command.kind is not CommandKind.CALL:
+            return _read_optional(state, fuel)
+        if rec_inv is None:
+            raise MissingInvariantError(
+                "computation issues recursive calls; supply rec_inv to enumerate them"
+            )
+        return [(Pure(output), state, fuel) for output in rec_inv.outputs_for(command.payload)]
 
-    go(m, state0)
-    return tuple(out)
+    return tuple(_drive(m, state0, 0, answer))
 
 
 def result_set(results: Iterable[tuple[Value, str | None]]) -> tuple[tuple[Value, str | None], ...]:
     """Deduplicate results, keeping the first occurrence of each."""
-    seen: list[tuple[Value, str | None]] = []
-    for item in results:
-        if item not in seen:
-            seen.append(item)
-    return tuple(seen)
+    return tuple(dict.fromkeys(results))
 
 
 def refines_all(
@@ -355,10 +394,8 @@ def refines_all(
     Decided by result sets: every result of ``specific`` must be a result
     of ``general``.  Reflexive and transitive by construction.
     """
-    allowed = result_set(results_demonic(general, rec_inv, state0))
-    return all(
-        item in allowed for item in result_set(results_demonic(specific, rec_inv, state0))
-    )
+    allowed = set(results_demonic(general, rec_inv, state0))
+    return all(item in allowed for item in results_demonic(specific, rec_inv, state0))
 
 
 def refines_any(
@@ -369,8 +406,8 @@ def refines_any(
 ) -> bool:
     """The dual of :func:`refines_all`: every result of ``general`` survives
     in ``specific``."""
-    required = result_set(results_demonic(general, rec_inv, state0))
-    available = result_set(results_demonic(specific, rec_inv, state0))
+    required = results_demonic(general, rec_inv, state0)
+    available = set(results_demonic(specific, rec_inv, state0))
     return all(item in available for item in required)
 
 

@@ -35,7 +35,7 @@ from effparse.core import UNIT, Ch, CommandKind, Op, Str
 from effparse.handlers import Done, TerminationInvariantError, run_parser, run_with_fuel
 from effparse.semantics import in_language, results_demonic
 
-from helpers import ACYCLIC_FAMILY, G_CYCLIC, G_RIGHT_REC, strings_up_to
+from helpers import ACYCLIC_FAMILY, G_CYCLIC, G_EXPR, G_NULLABLE, G_RIGHT_REC, strings_up_to
 
 E, S, A, B, T, X = (Nonterminal(n) for n in "ESABTX")
 
@@ -237,6 +237,20 @@ def test_parse_matches_oracle_on_the_family() -> None:
         g, start, alphabet = load(entry)
         for text in strings_up_to(3, alphabet):
             assert set(parse(g, start, text)) == set(spec_produce(g, start, text))
+
+
+def test_parse_repeats_no_derivation_on_ambiguous_grammars() -> None:
+    # A derivation fixes its own choice path, so no (derivation, remainder)
+    # pair comes twice; `effparse cfg-parse` prints parses without
+    # deduplicating them.
+    ambiguous = ("S -> 'a' S | 'a' | 'a' S S |\n", "S", "a")
+    for entry, max_len in ((ambiguous, 5), (G_EXPR, 4), (G_NULLABLE, 4)):
+        g, start, alphabet = load(entry)
+        for text in strings_up_to(max_len, alphabet):
+            results = parse(g, start, text)
+            assert len(set(results)) == len(results)
+    g, start, _ = load(ambiguous)
+    assert len(parse(g, start, "aaaaa")) == 994
 
 
 def test_parse_rejects_cyclic_grammars_with_a_witness() -> None:
