@@ -9,7 +9,7 @@ context-free grammars with left-recursion analysis (:mod:`effparse.cfg`).
 The ``effparse`` command line fronts the engines (:mod:`effparse.cli`).
 """
 
-from . import cfg, cli, core, handlers, regex, semantics
+from . import cfg, cli, core, handlers, regex, render, semantics
 
-__all__ = ["cfg", "cli", "core", "handlers", "regex", "semantics"]
+__all__ = ["cfg", "cli", "core", "handlers", "regex", "render", "semantics"]
 __version__ = "0.1.0"

@@ -46,6 +46,7 @@ from .core import (
     symbol_strict,
 )
 from .handlers import Done, RecursiveFn, TerminationInvariantError, _unfold, run_with_fuel
+from .render import Shape, render_tree
 from .semantics import _drive
 
 __all__ = [
@@ -210,12 +211,16 @@ class ChainReport:
             raise ValueError("bound must be absent exactly when cyclic")
 
 
-def format_sem_value(value: SemValue) -> str:
-    """Render a derivation node as an s-expression, children nested."""
-    inner = f"node {value.nt.name} {value.production}"
-    for child in value.children:
-        inner += " " + format_sem_value(child)
-    return f"({inner})"
+def format_sem_value(value: SemValue, as_json: bool = False) -> str:
+    """Render a derivation node as an s-expression, or as one line of JSON.
+
+    ``(node E 0 (node E 1))`` in JSON is ``["node","E",0,["node","E",1]]``.
+    """
+    return render_tree(value, _sem_value_shape, as_json)
+
+
+def _sem_value_shape(value: SemValue) -> Shape:
+    return ("node", value.nt.name, value.production), value.children
 
 
 # ---------------------------------------------------------------------------

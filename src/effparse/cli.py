@@ -10,7 +10,6 @@ were none (or the grammar was rejected), 2 for syntax or usage errors, and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 
@@ -19,7 +18,6 @@ from .cfg import (
     Grammar,
     GrammarError,
     Nonterminal,
-    SemValue,
     chain_bound,
     format_sem_value,
     from_prods_fn,
@@ -29,14 +27,7 @@ from .cfg import (
 from .core import Str
 from .handlers import Done, TerminationInvariantError, run_with_fuel
 from .regex import (
-    ParseTree,
     RegexSyntaxError,
-    CharT,
-    LeftT,
-    ListT,
-    PairT,
-    RightT,
-    UnitT,
     derivative,
     dmatch_run,
     format_regex,
@@ -59,25 +50,6 @@ class CliConfig:
     engine: str = "derivative"
     format: str = "sexpr"
     max_results: int | None = None
-
-
-def _tree_obj(t: ParseTree) -> object:
-    if isinstance(t, UnitT):
-        return "unit"
-    if isinstance(t, CharT):
-        return ["char", t.char]
-    if isinstance(t, LeftT):
-        return ["inl", _tree_obj(t.item)]
-    if isinstance(t, RightT):
-        return ["inr", _tree_obj(t.item)]
-    if isinstance(t, PairT):
-        return ["pair", _tree_obj(t.first), _tree_obj(t.second)]
-    assert isinstance(t, ListT)
-    return ["list"] + [_tree_obj(item) for item in t.items]
-
-
-def _node_obj(v: SemValue) -> object:
-    return ["node", v.nt.name, v.production] + [_node_obj(child) for child in v.children]
 
 
 def _emit_results(lines: list[str], config: CliConfig) -> int:
@@ -113,12 +85,8 @@ def cmd_match(pattern: str, text: str, config: CliConfig) -> int:
         trees = [value.tree for value, _state in outcome.results]  # type: ignore[union-attr]
     else:
         trees = list(dmatch_run(r, text))
-    unique = list(dict.fromkeys(trees))
-    if config.format == "json-lines":
-        lines = [json.dumps(_tree_obj(t), separators=(",", ":")) for t in unique]
-    else:
-        lines = [format_tree(t) for t in unique]
-    return _emit_results(lines, config)
+    as_json = config.format == "json-lines"
+    return _emit_results([format_tree(t, as_json) for t in dict.fromkeys(trees)], config)
 
 
 def cmd_derive(pattern: str, text: str) -> int:
@@ -195,11 +163,8 @@ def cmd_cfg_parse(path: str, start: str, text: str, config: CliConfig) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 3
     # Each derivation fixes its own choice path, so none comes twice.
-    full = [node for node, remainder in results if remainder == ""]
-    if config.format == "json-lines":
-        lines = [json.dumps(_node_obj(node), separators=(",", ":")) for node in full]
-    else:
-        lines = [format_sem_value(node) for node in full]
+    as_json = config.format == "json-lines"
+    lines = [format_sem_value(node, as_json) for node, remainder in results if remainder == ""]
     return _emit_results(lines, config)
 
 

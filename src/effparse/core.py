@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # only for annotations; avoids an import cycle
     from .cfg import SemValue
-    from .regex import ParseTree
+    from .regex import ParseTree, Regex
 
 __all__ = [
     "Bool",
@@ -37,6 +37,7 @@ __all__ = [
     "Op",
     "PairV",
     "Pure",
+    "RegexV",
     "RowError",
     "SplitV",
     "Str",
@@ -117,6 +118,13 @@ class TreeV(Value):
     """A regex parse tree lifted into the value union."""
 
     tree: "ParseTree"
+
+
+@dataclass(frozen=True)
+class RegexV(Value):
+    """A regex lifted into the value union, as the matchers' call inputs carry it."""
+
+    regex: "Regex"
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,20 @@ Matching proper comes in two flavours:
   regex's parse tree from the derivative's.  :func:`dmatch_run` executes it
   with fuel exactly the input length, which always suffices.
 
-The concrete regex syntax used at the command line (and to encode regexes
-into recursive-call payloads) is handled by :func:`parse_regex` and
-:func:`format_regex`; parse trees render to s-expressions with
-:func:`format_tree`.
+Regex nodes are hash-consed: building a regex equal to one that exists
+returns that very object, so equality and hashing are identity checks and
+the derivative caches look regexes up in constant time.  Recursive calls
+carry the regex itself as a :class:`~effparse.core.RegexV` value.
+
+The concrete regex syntax, read and written by :func:`parse_regex` and
+:func:`format_regex`, serves the command line and the tests only; it
+encodes no call payloads, so a regex need not be printable to be matched.
+Parse trees render as s-expressions or JSON with :func:`format_tree`.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +40,7 @@ from .core import (
     EffectRow,
     NONDET_ROW,
     PairV,
+    RegexV,
     SplitV,
     Str,
     TreeV,
@@ -54,6 +61,7 @@ from .handlers import (
     h_parser,
     run_with_fuel,
 )
+from .render import Shape, render_tree
 from .semantics import Invariant
 
 __all__ = [
@@ -123,22 +131,62 @@ class RegexSyntaxError(ValueError):
 
 
 class Regex:
-    """Base class of the regular-expression AST."""
+    """Base class of the regular-expression AST.
 
-    __slots__ = ()
+    Nodes are hash-consed: constructing a node equal to one that exists
+    returns the existing one, so ``==`` and ``hash`` are identity-based and
+    cost O(1) however deep the regex.  Constructors take their fields
+    positionally.  The interning table is not locked, so regexes are built
+    from one thread at a time.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields: object) -> Regex:
+        # The fields are characters or nodes that are themselves interned,
+        # so a lookup hashes and compares only one level.
+        key = (cls, *fields)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            cls._fill(node, *fields)
+            _INTERNED[key] = node
+        return node
+
+    def __reduce__(self) -> tuple:
+        # Copies and unpickled nodes come through the constructor, so they
+        # are interned like any other.
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
+#: Every live node by class and fields.  The values are weak: a node that
+#: nothing else holds leaves the table, so interning keeps no regex alive.
+_INTERNED: weakref.WeakValueDictionary[tuple, Regex] = weakref.WeakValueDictionary()
+
+
+def _interned(cls: type) -> type:
+    """Run a node class's dataclass ``__init__`` (which sets the fields and
+    validates them) inside :meth:`Regex.__new__`, once per node, instead of
+    on every construction."""
+    cls._fill = cls.__init__  # type: ignore[attr-defined]
+    del cls.__init__  # type: ignore[misc]
+    return cls
+
+
+@_interned
+@dataclass(frozen=True, eq=False, slots=True)
 class Empty(Regex):
     """Matches nothing at all."""
 
 
-@dataclass(frozen=True)
+@_interned
+@dataclass(frozen=True, eq=False, slots=True)
 class Epsilon(Regex):
     """Matches exactly the empty string."""
 
 
-@dataclass(frozen=True)
+@_interned
+@dataclass(frozen=True, eq=False, slots=True)
 class Singleton(Regex):
     """Matches exactly one given character."""
 
@@ -149,19 +197,22 @@ class Singleton(Regex):
             raise ValueError(f"Singleton holds exactly one character, got {self.char!r}")
 
 
-@dataclass(frozen=True)
+@_interned
+@dataclass(frozen=True, eq=False, slots=True)
 class Alt(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
+@_interned
+@dataclass(frozen=True, eq=False, slots=True)
 class Cat(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
+@_interned
+@dataclass(frozen=True, eq=False, slots=True)
 class Star(Regex):
     body: Regex
 
@@ -415,18 +466,18 @@ def all_splits(xs: str, row: EffectRow = NONDET_ROW) -> Computation:
 
 def match_input(r: Regex, xs: str) -> PairV:
     """Encode a (regex, string) pair as a recursive-call input value."""
-    return PairV(Str(format_regex(r)), Str(xs))
+    return PairV(RegexV(r), Str(xs))
 
 
 def decode_match_input(value: Value) -> tuple[Regex, str]:
     """Invert :func:`match_input`."""
     if (
         not isinstance(value, PairV)
-        or not isinstance(value.first, Str)
+        or not isinstance(value.first, RegexV)
         or not isinstance(value.second, Str)
     ):
         raise TypeError(f"not a (regex, string) call input: {value!r}")
-    return parse_regex(value.first.text), value.second.text
+    return value.first.regex, value.second.text
 
 
 def _cons_iteration(pair_value: Value) -> Value:
@@ -609,37 +660,40 @@ def dmatch(r: Regex) -> Computation:
     at end of input, produce the empty-string witness or fail.
     """
     row = DMATCH_ROW
+    # Asked on every step, not only at the end of the input: the cache then
+    # holds the answer for each earlier derivative, so this query recurses
+    # through the parts this step added rather than once per character read.
+    witness = nullable(r)
 
     def continue_with(response: Value) -> Computation:
         if isinstance(response, Ch):
             x = response.char
             return fmap(
                 lambda tv: TreeV(integral_tree(r, x, _tree_of(tv))),
-                call(row, Str(format_regex(derivative(r, x)))),
+                call(row, RegexV(derivative(r, x))),
             )
-        witness = nullable(r)
         return pure(TreeV(witness)) if witness is not None else fail(row)
 
     return bind(symbol_maybe(row), continue_with)
 
 
 def dmatch_fn() -> RecursiveFn:
-    """The derivative matcher as a recursive function on encoded regexes."""
-    return RecursiveFn(DMATCH_ROW, lambda v: dmatch(parse_regex(_text_of(v))))
+    """The derivative matcher as a recursive function on ``RegexV`` inputs."""
+    return RecursiveFn(DMATCH_ROW, lambda v: dmatch(_regex_of(v)))
 
 
-def _text_of(value: Value) -> str:
-    if not isinstance(value, Str):
-        raise TypeError(f"expected a string value, got {value!r}")
-    return value.text
+def _regex_of(value: Value) -> Regex:
+    if not isinstance(value, RegexV):
+        raise TypeError(f"expected a regex value, got {value!r}")
+    return value.regex
 
 
 def dmatch_handled() -> RecursiveFn:
     """The derivative matcher with its symbol reads discharged by state.
 
-    Inputs become ``PairV(Str(pattern), Str(input))`` — the same encoding
-    the structural matcher uses — and the effect row shrinks to recursion
-    plus nondeterminism.
+    Inputs become ``PairV(RegexV(r), Str(input))`` — the encoding
+    :func:`match_input` builds, which the structural matcher uses too — and
+    the effect row shrinks to recursion plus nondeterminism.
     """
     return handle_rec(h_parser, dmatch_fn())
 
@@ -786,19 +840,24 @@ def _format_regex(r: Regex, context: int) -> str:
     return f"({rendered})" if level < context else rendered
 
 
-def format_tree(t: ParseTree) -> str:
-    """Render a parse tree as an s-expression."""
+def format_tree(t: ParseTree, as_json: bool = False) -> str:
+    """Render a parse tree as an s-expression, or as one line of JSON.
+
+    ``(pair unit (inl (char a)))`` in JSON is ``["pair","unit",["inl",["char","a"]]]``.
+    """
+    return render_tree(t, _tree_shape, as_json)
+
+
+def _tree_shape(t: ParseTree) -> Shape:
     if isinstance(t, UnitT):
         return "unit"
     if isinstance(t, CharT):
-        return f"(char {t.char})"
+        return ("char", t.char), ()
     if isinstance(t, LeftT):
-        return f"(inl {format_tree(t.item)})"
+        return ("inl",), (t.item,)
     if isinstance(t, RightT):
-        return f"(inr {format_tree(t.item)})"
+        return ("inr",), (t.item,)
     if isinstance(t, PairT):
-        return f"(pair {format_tree(t.first)} {format_tree(t.second)})"
+        return ("pair",), (t.first, t.second)
     assert isinstance(t, ListT)
-    if not t.items:
-        return "(list)"
-    return "(list " + " ".join(format_tree(item) for item in t.items) + ")"
+    return ("list",), t.items

@@ -239,3 +239,27 @@ def test_dmatch_refines_match_on_samples() -> None:
             general = match_structural(r, s)
             specific = dmatch_handled().body(match_input(r, s))
             assert refines_all(general, specific, INV)
+
+
+# ---------------------------------------------------------------------------
+# Regexes the concrete syntax cannot print
+# ---------------------------------------------------------------------------
+
+# The printer separates concatenated factors by a blank and the parser skips
+# blanks, so these regexes have no concrete syntax; the matchers pass
+# regexes between calls as values and must not care.
+BLANK_CASES = (
+    (Singleton(" "), " ", (CharT(" "),)),
+    (Cat(A, Singleton("\t")), "a\t", (PairT(CharT("a"), CharT("\t")),)),
+)
+
+
+def test_dmatch_run_matches_blank_singletons() -> None:
+    for r, s, trees in BLANK_CASES:
+        assert dmatch_run(r, s) == trees
+
+
+def test_structural_matcher_matches_blank_singletons() -> None:
+    for r, s, trees in BLANK_CASES:
+        outcome = run_with_fuel(match_fn(), match_input(r, s), len(s))
+        assert outcome == Done(tuple((TreeV(t), None) for t in trees))

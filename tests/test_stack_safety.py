@@ -1,13 +1,16 @@
 """Deep inputs at the default recursion limit.
 
-The interpreter keeps pending branches and continuations as data, so how
-deep a run goes is bounded by memory, not by the Python stack.  Each test
+The interpreter keeps pending branches and continuations as data, and the
+tree printers keep pending nodes on a stack, so how deep a run goes or a
+result nests is bounded by memory, not by the Python stack.  Each test
 here pins the limit at CPython's default for its duration, so a walker
-that recursed once per command or per nested call would overflow.
+that recursed once per command, per nested call or per printed node would
+overflow.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from pathlib import Path
 
@@ -88,3 +91,42 @@ def test_cli_cfg_parse_right_recursion_of_512(capsys, tmp_path: Path) -> None:
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == "(node S 0 " * (n - 1) + "(node S 1)" + ")" * (n - 1) + "\n"
+
+
+def test_cli_match_a_star_on_512_characters(capsys) -> None:
+    n = 512
+    code = main(["match", "a*", "a" * n])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == "(list" + " (char a)" * n + ")\n"
+
+
+def test_cli_match_a_or_b_star_on_512_balanced_characters(capsys) -> None:
+    chars = list("a" * 256 + "b" * 256)
+    random.Random(7).shuffle(chars)
+    text = "".join(chars)
+    code = main(["match", "(a|b)*", text])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    items = "".join(" (inl (char a))" if c == "a" else " (inr (char b))" for c in text)
+    assert captured.out == "(list" + items + ")\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, open_node, leaf, close_node",
+    [
+        ("sexpr", "(node S 0 ", "(node S 1)", " (node S 1))"),
+        ("json-lines", '["node","S",0,', '["node","S",1]', ',["node","S",1]]'),
+    ],
+    ids=["sexpr", "json-lines"],
+)
+def test_cli_cfg_parse_prints_a_derivation_nested_1000_deep(
+    capsys, tmp_path: Path, fmt: str, open_node: str, leaf: str, close_node: str
+) -> None:
+    path = tmp_path / "dyck.cfg"
+    path.write_text("S -> '(' S ')' S |\n", encoding="utf-8")
+    depth = 1000
+    code = main(["cfg-parse", "--format", fmt, str(path), "S", "(" * depth + ")" * depth])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == open_node * depth + leaf + close_node * depth + "\n"
