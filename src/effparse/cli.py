@@ -85,8 +85,10 @@ def cmd_match(pattern: str, text: str, config: CliConfig) -> int:
         trees = [value.tree for value, _state in outcome.results]  # type: ignore[union-attr]
     else:
         trees = list(dmatch_run(r, text))
+    # Deduplicated as printed lines, which are flat strings, rather than as
+    # trees, whose hash recurses once per level; the printer is injective.
     as_json = config.format == "json-lines"
-    return _emit_results([format_tree(t, as_json) for t in dict.fromkeys(trees)], config)
+    return _emit_results(list(dict.fromkeys(format_tree(t, as_json) for t in trees)), config)
 
 
 def cmd_derive(pattern: str, text: str) -> int:

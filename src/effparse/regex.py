@@ -1,9 +1,11 @@
 """Regular expressions, parse trees, and two ways of matching.
 
-The ground truth lives in :func:`is_match`, a direct decision procedure for
-the inductive matching relation, and :func:`enumerate_matches`, which lists
-every parse tree of a string under a star discipline that keeps the answer
-finite.  Everything else is measured against those two.
+The ground truth lives in :func:`is_match`, which decides the inductive
+matching relation in one walk of the tree (a witness fits the regex and
+spells the string), and :func:`enumerate_matches`, which lists every parse
+tree of a string under a star discipline that keeps the answer finite,
+trying only the splits the regexes' length bounds allow.  Everything else
+is measured against those two.
 
 Matching proper comes in two flavours:
 
@@ -12,9 +14,13 @@ Matching proper comes in two flavours:
   goes through the recursion effect (star unfolds to ``Cat(r, Star r)``,
   which is not structurally smaller).
 * :func:`dmatch` — one optional symbol read, then a recursive call on the
-  Brzozowski derivative; :func:`integral_tree` rebuilds the original
-  regex's parse tree from the derivative's.  :func:`dmatch_run` executes it
-  with fuel exactly the input length, which always suffices.
+  Brzozowski derivative.  :func:`derivative_step` builds it simplified,
+  with a rectifier back to the witnesses of the paper's
+  :func:`derivative`, and :func:`integral_tree` rebuilds the original
+  regex's parse tree from those.  The simplified derivatives of a regex
+  are finitely many, so a step costs the same at every character and the
+  witness is that of the unsimplified derivatives.  :func:`dmatch_run`
+  executes it with fuel exactly the input length, which always suffices.
 
 Regex nodes are hash-consed: building a regex equal to one that exists
 returns that very object, so equality and hashing are identity checks and
@@ -30,6 +36,7 @@ Parse trees render as s-expressions or JSON with :func:`format_tree`.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,6 +98,7 @@ __all__ = [
     "all_splits",
     "decode_match_input",
     "derivative",
+    "derivative_step",
     "dmatch",
     "dmatch_fn",
     "dmatch_handled",
@@ -343,39 +351,58 @@ def tree_yield(t: ParseTree) -> str:
 def is_match(r: Regex, s: str, t: ParseTree) -> bool:
     """Decide whether ``t`` witnesses that ``s`` matches ``r``.
 
-    Follows the inductive relation case by case; concatenation tries every
-    split of the string, and a non-empty iteration witness peels its first
-    element the way ``Cat(r, Star r)`` would.
+    A witness spells exactly its yield, so this is the inductive relation:
+    ``t`` must fit ``r`` in shape and in characters, and its yield must be
+    ``s``.  Linear in the size of ``t``; it recurses once per level of
+    ``r``, not per character of ``s``.
     """
+    return _fits(r, t) and tree_yield(t) == s
+
+
+def _fits(r: Regex, t: ParseTree) -> bool:
+    """Does ``t`` witness some string for ``r``?  Like :func:`tree_shape_ok`,
+    but a character leaf must hold the regex's character."""
     if isinstance(r, Empty):
         return False
     if isinstance(r, Epsilon):
-        return s == "" and isinstance(t, UnitT)
+        return isinstance(t, UnitT)
     if isinstance(r, Singleton):
-        return isinstance(t, CharT) and t.char == r.char and s == r.char
+        return isinstance(t, CharT) and t.char == r.char
     if isinstance(r, Alt):
         if isinstance(t, LeftT):
-            return is_match(r.left, s, t.item)
+            return _fits(r.left, t.item)
         if isinstance(t, RightT):
-            return is_match(r.right, s, t.item)
+            return _fits(r.right, t.item)
         return False
     if isinstance(r, Cat):
-        if not isinstance(t, PairT):
-            return False
-        return any(
-            is_match(r.left, s[:i], t.first) and is_match(r.right, s[i:], t.second)
-            for i in range(len(s) + 1)
-        )
+        return isinstance(t, PairT) and _fits(r.left, t.first) and _fits(r.right, t.second)
     assert isinstance(r, Star)
-    if not isinstance(t, ListT):
-        return False
-    if not t.items:
-        return s == ""
-    head, rest = t.items[0], ListT(t.items[1:])
-    return any(
-        is_match(r.body, s[:i], head) and is_match(r, s[i:], rest)
-        for i in range(len(s) + 1)
-    )
+    return isinstance(t, ListT) and all(_fits(r.body, item) for item in t.items)
+
+
+@lru_cache(maxsize=None)
+def _length_bounds(r: Regex) -> tuple[int, int | None]:
+    """The least and greatest length of a string ``r`` matches; ``None`` is
+    unbounded.  ``\\0`` matches nothing, so any bounds hold for it, and
+    ``(0, 0)`` leaves a concatenation with it one split to try."""
+    if isinstance(r, (Empty, Epsilon)):
+        return 0, 0
+    if isinstance(r, Singleton):
+        return 1, 1
+    if isinstance(r, Star):
+        return 0, (0 if _length_bounds(r.body)[1] == 0 else None)
+    assert isinstance(r, (Alt, Cat))
+    (left_lo, left_hi), (right_lo, right_hi) = _length_bounds(r.left), _length_bounds(r.right)
+    unbounded = left_hi is None or right_hi is None
+    if isinstance(r, Alt):
+        return min(left_lo, right_lo), None if unbounded else max(left_hi, right_hi)  # type: ignore[type-var]
+    return left_lo + right_lo, None if unbounded else left_hi + right_hi  # type: ignore[operator]
+
+
+def _lengths(r: Regex, lo: int, hi: int) -> range:
+    """The lengths from ``lo`` to ``hi`` within ``r``'s bounds, shortest first."""
+    r_lo, r_hi = _length_bounds(r)
+    return range(max(lo, r_lo), (hi if r_hi is None else min(hi, r_hi)) + 1)
 
 
 @lru_cache(maxsize=None)
@@ -391,9 +418,10 @@ def _enum(r: Regex, s: str, k: int) -> tuple[ParseTree, ...]:
             RightT(t) for t in _enum(r.right, s, k)
         )
     if isinstance(r, Cat):
+        n, (right_lo, right_hi) = len(s), _length_bounds(r.right)
         return tuple(
             PairT(tl, tr)
-            for i in range(len(s) + 1)
+            for i in _lengths(r.left, 0 if right_hi is None else n - right_hi, n - right_lo)
             for tl in _enum(r.left, s[:i], k)
             for tr in _enum(r.right, s[i:], k)
         )
@@ -410,7 +438,7 @@ def _enum_star(q: Regex, s: str, remaining: int, k: int) -> tuple[ListT, ...]:
         for head in _enum(q, "", k):
             for rest in _enum_star(q, s, remaining - 1, k):
                 out.append(ListT((head,) + rest.items))
-    for i in range(1, len(s) + 1):
+    for i in _lengths(q, 1, len(s)):
         for head in _enum(q, s[:i], k):
             for rest in _enum_star(q, s[i:], remaining, k):
                 out.append(ListT((head,) + rest.items))
@@ -647,6 +675,122 @@ def integral_tree(r: Regex, c: str, t: ParseTree) -> ParseTree:
     raise TreeShapeError(f"the derivative of {format_regex(r)!r} has no witnesses")
 
 
+#: Maps a witness of a simplified derivative to one of the paper's derivative.
+Rectifier = Callable[[ParseTree], ParseTree]
+
+
+@lru_cache(maxsize=None)
+def derivative_step(r: Regex, c: str) -> tuple[Regex, Rectifier]:
+    """The derivative of ``r`` by ``c``, simplified, and its rectifier.
+
+    The regex matches what ``derivative(r, c)`` matches, but is built by
+    smart constructors: an alternation is one right-nested chain without
+    ``\\0`` and without repeated alternatives (the first stays), and a
+    concatenation absorbs ``\\0`` and takes ``\\e`` as unit on either
+    side.  These are the ACI rules of Owens, Reppy & Turon (JFP 2009), so by
+    Brzozowski's theorem repeated steps reach finitely many regexes.  The
+    rectifier maps each witness of the simplified regex to the witness of
+    ``derivative(r, c)`` it stands for (Sulzmann & Lu, FLOPS 2014).
+
+    Recurses over ``r`` only where :func:`derivative` does; the subterms it
+    keeps are not walked again, except that a loop reads alternatives off
+    the right spine of a chain.
+    """
+    if isinstance(r, (Empty, Epsilon)):
+        return EMPTY, _no_witness
+    if isinstance(r, Singleton):
+        return (EPSILON, _same) if r.char == c else (EMPTY, _no_witness)
+    if isinstance(r, Alt):
+        return _alt(
+            _alternatives(*derivative_step(r.left, c), LeftT)
+            + _alternatives(*derivative_step(r.right, c), RightT)
+        )
+    if isinstance(r, Cat):
+        through_left = _cat(*derivative_step(r.left, c), r.right)
+        if nullable(r.left) is None:
+            return through_left
+        return _alt(
+            _alternatives(*through_left, LeftT)
+            + _alternatives(*derivative_step(r.right, c), RightT)
+        )
+    assert isinstance(r, Star)
+    return _cat(*derivative_step(r.body, c), r)
+
+
+def _same(t: ParseTree) -> ParseTree:
+    return t
+
+
+def _no_witness(t: ParseTree) -> ParseTree:
+    raise TreeShapeError(f"\\0 has no witnesses, got {t!r}")
+
+
+def _cat(left: Regex, fix_left: Rectifier, right: Regex) -> tuple[Regex, Rectifier]:
+    """``Cat(left, right)`` with ``\\0`` absorbing and ``\\e`` as unit; the
+    rectifier gives witnesses of ``Cat(d, right)``, where ``fix_left`` maps
+    witnesses of ``left`` to those of ``d``."""
+    if left is EMPTY or right is EMPTY:
+        return EMPTY, _no_witness
+    if left is EPSILON:
+        first = fix_left(UNIT_TREE)
+        return right, lambda t: PairT(first, t)
+    if right is EPSILON:
+        return left, lambda t: PairT(fix_left(t), UNIT_TREE)
+    return Cat(left, right), lambda t: PairT(fix_left(t.first), t.second)  # type: ignore[attr-defined]
+
+
+def _alternatives(d: Regex, fix: Rectifier, tag: type) -> list[tuple[Regex, Rectifier]]:
+    """The alternatives on the right spine of ``d``, each with the rectifier
+    that puts its witness back in place in ``d``'s, applies ``fix`` and wraps
+    the result in ``tag``."""
+    parts = []
+    while isinstance(d, Alt):
+        parts.append(d.left)
+        d = d.right
+    parts.append(d)
+    last = len(parts) - 1
+
+    def rectifier(i: int) -> Rectifier:
+        def rectify(t: ParseTree) -> ParseTree:
+            if i < last:
+                t = LeftT(t)
+            for _ in range(i):
+                t = RightT(t)
+            return tag(fix(t))
+
+        return rectify
+
+    return [(part, rectifier(i)) for i, part in enumerate(parts)]
+
+
+def _alt(parts: list[tuple[Regex, Rectifier]]) -> tuple[Regex, Rectifier]:
+    """One right-nested chain of the alternatives in ``parts`` other than
+    ``\\0``, each the first time it comes; the rectifier finds the
+    alternative a witness takes and hands its witness to that one's."""
+    kept: dict[Regex, Rectifier] = {}
+    for part, fix in parts:
+        if part is not EMPTY:
+            kept.setdefault(part, fix)
+    if not kept:
+        return EMPTY, _no_witness
+    alternatives, fixes = list(kept), list(kept.values())
+    d = alternatives[-1]
+    for part in reversed(alternatives[:-1]):
+        d = Alt(part, d)
+    if len(fixes) == 1:
+        return d, fixes[0]
+    last = len(fixes) - 1
+
+    def rectify(t: ParseTree) -> ParseTree:
+        for i in range(last):
+            if isinstance(t, LeftT):
+                return fixes[i](t.item)
+            t = t.item  # type: ignore[attr-defined]
+        return fixes[last](t)
+
+    return d, rectify
+
+
 # ---------------------------------------------------------------------------
 # The derivative matcher
 # ---------------------------------------------------------------------------
@@ -656,22 +800,23 @@ def dmatch(r: Regex) -> Computation:
     """Match by reading one character and recursing on the derivative.
 
     Reads an optional symbol: on a character ``x``, recurse on the
-    derivative and integrate the returned witness back to one for ``r``;
-    at end of input, produce the empty-string witness or fail.
+    simplified derivative of :func:`derivative_step`, rectify the returned
+    witness to one of ``derivative(r, x)`` and integrate it back to one for
+    ``r``; at end of input, produce the empty-string witness or fail.  The
+    witness is the one the unsimplified derivatives give, but the regexes
+    recursed on stay few and small however long the input.
     """
     row = DMATCH_ROW
-    # Asked on every step, not only at the end of the input: the cache then
-    # holds the answer for each earlier derivative, so this query recurses
-    # through the parts this step added rather than once per character read.
-    witness = nullable(r)
 
     def continue_with(response: Value) -> Computation:
         if isinstance(response, Ch):
             x = response.char
+            d, rectify = derivative_step(r, x)
             return fmap(
-                lambda tv: TreeV(integral_tree(r, x, _tree_of(tv))),
-                call(row, RegexV(derivative(r, x))),
+                lambda tv: TreeV(integral_tree(r, x, rectify(_tree_of(tv)))),
+                call(row, RegexV(d)),
             )
+        witness = nullable(r)
         return pure(TreeV(witness)) if witness is not None else fail(row)
 
     return bind(symbol_maybe(row), continue_with)

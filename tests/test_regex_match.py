@@ -27,6 +27,7 @@ from effparse.regex import (
     all_splits,
     decode_match_input,
     derivative,
+    derivative_step,
     dmatch,
     dmatch_handled,
     dmatch_run,
@@ -38,10 +39,13 @@ from effparse.regex import (
     match_spec_invariant,
     match_structural,
     nullable,
+    parse_regex,
+    regex_size,
 )
 from effparse.semantics import refines_all, results_demonic
 
 from helpers import regexes_up_to, strings_up_to
+from reference import dmatch_unsimplified
 
 A, B = Singleton("a"), Singleton("b")
 INV = match_spec_invariant()
@@ -187,6 +191,67 @@ def test_derivative_round_trip_law() -> None:
 
 
 # ---------------------------------------------------------------------------
+# Simplified derivative steps
+# ---------------------------------------------------------------------------
+
+
+def test_derivative_step_goldens() -> None:
+    assert derivative_step(A, "a")[0] == EPSILON
+    assert derivative_step(A, "b")[0] == EMPTY
+    # The iteration's \e head is the unit of the concatenation.
+    d, rectify = derivative_step(Star(A), "a")
+    assert d == Star(A)
+    assert rectify(ListT(())) == PairT(UNIT_TREE, ListT(()))
+    # Repeated alternatives collapse, and the rectifier points at the first.
+    d, rectify = derivative_step(Alt(A, A), "a")
+    assert d == EPSILON
+    assert rectify(UNIT_TREE) == LeftT(UNIT_TREE)
+    # \0 is dropped from alternations and absorbs concatenations.
+    d, rectify = derivative_step(Cat(Star(A), B), "b")
+    assert d == EPSILON
+    assert rectify(UNIT_TREE) == RightT(UNIT_TREE)
+    # Nested alternations flatten into one right-nested chain.
+    d, rectify = derivative_step(Alt(Alt(Cat(A, A), A), Cat(A, B)), "a")
+    assert d == Alt(A, Alt(EPSILON, B))
+    assert rectify(RightT(RightT(CharT("b")))) == RightT(PairT(UNIT_TREE, CharT("b")))
+
+
+def test_derivative_step_rectifies_to_the_derivative() -> None:
+    for r in regexes_up_to(4):
+        for x in "ab":
+            d, rectify = derivative_step(r, x)
+            unsimplified = derivative(r, x)
+            for xs in strings_up_to(3):
+                witnesses = enumerate_matches(d, xs, 1)
+                assert bool(witnesses) == bool(enumerate_matches(unsimplified, xs))
+                for t in witnesses:
+                    assert is_match(unsimplified, xs, rectify(t))
+
+
+BENCH_PATTERNS = ("(a|b)*", "(a|b)* a (a|b)(a|b)", "a*", "(a b)* (a|\\e)")
+
+
+@pytest.mark.parametrize(
+    "pattern, count",
+    [*zip(BENCH_PATTERNS, (2, 9, 2, 3)), ("(a*)*", 3), ("(a|b)*(a|b)*(a|b)*", 3)],
+)
+def test_derivative_steps_reach_few_small_regexes(pattern: str, count: int) -> None:
+    # Brzozowski's finite set of dissimilar derivatives, over an alphabet
+    # with one character the pattern does not use; the pattern counts.
+    start = parse_regex(pattern)
+    reached, todo = {start}, [start]
+    while todo:
+        r = todo.pop()
+        for x in "abc":
+            d, _ = derivative_step(r, x)
+            if d not in reached:
+                reached.add(d)
+                todo.append(d)
+    assert len(reached) == count
+    assert max(regex_size(d) for d in reached) <= 30
+
+
+# ---------------------------------------------------------------------------
 # The derivative matcher
 # ---------------------------------------------------------------------------
 
@@ -222,6 +287,34 @@ def test_dmatch_sound_and_complete_at_moderate_scale() -> None:
             assert set(got) <= set(allowed)
             if allowed:
                 assert got
+
+
+def random_regex(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice((EMPTY, EPSILON, A, B, A))
+    roll = rng.randrange(3)
+    if roll == 0:
+        return Star(random_regex(rng, depth - 1))
+    node = Alt if roll == 1 else Cat
+    return node(random_regex(rng, depth - 1), random_regex(rng, depth - 1))
+
+
+def test_dmatch_gives_the_unsimplified_witness() -> None:
+    for r in regexes_up_to(4):
+        for s in strings_up_to(4):
+            assert dmatch_run(r, s) == dmatch_unsimplified(r, s)
+    rng = random.Random(23)
+    for _ in range(300):
+        r = random_regex(rng, 5)
+        for _ in range(6):
+            s = "".join(rng.choice("ab") for _ in range(rng.randrange(9)))
+            assert dmatch_run(r, s) == dmatch_unsimplified(r, s)
+    for pattern in BENCH_PATTERNS:
+        r = parse_regex(pattern)
+        for n in (16, 32):
+            s = "".join(rng.choice("ab") for _ in range(n))
+            for text in (s, s[:-3] + "abb", s[: n // 2] + "c" + s[n // 2 :], ("ab" * n)[:n]):
+                assert dmatch_run(r, text) == dmatch_unsimplified(r, text)
 
 
 def test_dmatch_fuel_below_length_can_run_dry() -> None:

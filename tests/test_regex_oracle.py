@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from effparse.regex import (
@@ -26,6 +28,7 @@ from effparse.regex import (
     tree_yield,
 )
 
+import reference
 from helpers import regexes_up_to, strings_up_to
 
 A, B = Singleton("a"), Singleton("b")
@@ -111,9 +114,35 @@ def test_matches_imply_shape_and_yield() -> None:
                 assert tree_yield(t) == s
 
 
+def test_is_match_agrees_with_the_split_searching_reference() -> None:
+    # True triples, and false ones from the same regex's trees for other
+    # strings and from other regexes' trees.
+    universe, strings = regexes_up_to(4), strings_up_to(3)
+    trees = {r: [t for s in strings for t in enumerate_matches(r, s)] for r in universe}
+    pool = list(dict.fromkeys(t for r in universe for s in strings for t in enumerate_matches(r, s, 1)))
+    others = random.Random(11).sample(pool, 30)
+    verdicts = {True: 0, False: 0}
+    for r in universe:
+        for s in strings:
+            for t in trees[r] + others:
+                verdict = is_match(r, s, t)
+                assert verdict == reference.is_match(r, s, t), (r, s, t)
+                verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 400
+
+
 # ---------------------------------------------------------------------------
 # The enumerator
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget, max_len", [(0, 4), (1, 4), (2, 2)])
+def test_enumeration_agrees_with_the_unbounded_reference(budget: int, max_len: int) -> None:
+    # Length bounds only skip splits that cannot match: same trees, same order.
+    for r in regexes_up_to(4):
+        for s in strings_up_to(max_len):
+            assert enumerate_matches(r, s, budget) == reference.enumerate_matches(r, s, budget)
+
 
 
 def test_enumerate_matches_goldens() -> None:

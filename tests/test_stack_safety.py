@@ -2,9 +2,12 @@
 
 The interpreter keeps pending branches and continuations as data, and the
 tree printers keep pending nodes on a stack, so how deep a run goes or a
-result nests is bounded by memory, not by the Python stack.  Each test
-here pins the limit at CPython's default for its duration, so a walker
-that recursed once per command, per nested call or per printed node would
+result nests is bounded by memory, not by the Python stack.  The
+derivative matcher recurses on simplified derivatives, which stay few and
+small, and ``is_match`` recurses once per level of the regex, so neither
+goes deeper as the input grows.  Each test here pins the limit at
+CPython's default for its duration, so a walker that recursed once per
+command, per nested call, per character or per printed node would
 overflow.
 """
 
@@ -32,6 +35,7 @@ from effparse.core import (
     symbol_strict,
 )
 from effparse.handlers import Done, RecursiveFn, run_parser, run_parser_prefix, run_with_fuel
+from effparse.regex import Cat, CharT, ListT, PairT, Singleton, Star, is_match
 from effparse.semantics import results_demonic
 
 S = Nonterminal("S")
@@ -93,23 +97,60 @@ def test_cli_cfg_parse_right_recursion_of_512(capsys, tmp_path: Path) -> None:
     assert captured.out == "(node S 0 " * (n - 1) + "(node S 1)" + ")" * (n - 1) + "\n"
 
 
-def test_cli_match_a_star_on_512_characters(capsys) -> None:
-    n = 512
-    code = main(["match", "a*", "a" * n])
-    captured = capsys.readouterr()
-    assert (code, captured.err) == (0, "")
-    assert captured.out == "(list" + " (char a)" * n + ")\n"
-
-
-def test_cli_match_a_or_b_star_on_512_balanced_characters(capsys) -> None:
-    chars = list("a" * 256 + "b" * 256)
+def _balanced(n: int) -> str:
+    chars = list("a" * (n // 2) + "b" * (n - n // 2))
     random.Random(7).shuffle(chars)
-    text = "".join(chars)
-    code = main(["match", "(a|b)*", text])
+    return "".join(chars)
+
+
+def _items(text: str) -> str:
+    return "".join(" (inl (char a))" if c == "a" else " (inr (char b))" for c in text)
+
+
+def _third_last_a(n: int) -> tuple[str, str]:
+    text = _balanced(n - 3) + "a" + _balanced(2)
+    return text, f"(pair (list{_items(text[:-3])}) (pair (char a) (pair{_items(text[-2:])})))"
+
+
+N = 10_000
+BENCH_PATTERN_MEMBERS = {
+    "a_star": ("a*", "a" * N, "(list" + " (char a)" * N + ")"),
+    "ab_star": ("(a|b)*", _balanced(N), "(list" + _items(_balanced(N)) + ")"),
+    "third_last_a": ("(a|b)* a (a|b)(a|b)", *_third_last_a(N)),
+    "ab_pairs": (
+        "(a b)* (a|\\e)",
+        "ab" * (N // 2),
+        "(pair (list" + " (pair (char a) (char b))" * (N // 2) + ") (inr unit))",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BENCH_PATTERN_MEMBERS))
+def test_cli_match_bench_patterns_on_ten_thousand_characters(capsys, case: str) -> None:
+    # The derivative matcher recurses on simplified derivatives, which stay
+    # few and small, so neither their size nor the stack grows with the input.
+    pattern, text, witness = BENCH_PATTERN_MEMBERS[case]
+    code = main(["match", pattern, text])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
-    items = "".join(" (inl (char a))" if c == "a" else " (inr (char b))" for c in text)
-    assert captured.out == "(list" + items + ")\n"
+    assert captured.out == witness + "\n"
+
+
+def test_cli_match_a_600_character_concatenation_on_itself(capsys) -> None:
+    # The witness nests 600 pairs deep; duplicates are dropped by printed
+    # line, so no tree hash recurses through it.
+    n = 600
+    code = main(["match", "a" * n, "a" * n])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == "(pair (char a) " * (n - 1) + "(char a)" + ")" * (n - 1) + "\n"
+
+
+def test_is_match_on_a_4096_character_witness() -> None:
+    r = Star(Cat(Singleton("a"), Singleton("b")))
+    t = ListT((PairT(CharT("a"), CharT("b")),) * 2048)
+    assert is_match(r, "ab" * 2048, t)
+    assert not is_match(r, "ab" * 2047 + "ba", t)
 
 
 @pytest.mark.parametrize(
