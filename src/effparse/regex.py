@@ -23,9 +23,12 @@ Matching proper comes in two flavours:
   executes it with fuel exactly the input length, which always suffices.
 
 Regex nodes are hash-consed: building a regex equal to one that exists
-returns that very object, so equality and hashing are identity checks and
-the derivative caches look regexes up in constant time.  Recursive calls
-carry the regex itself as a :class:`~effparse.core.RegexV` value.
+returns that very object, so equality and hashing are identity checks.
+A node keeps its ``nullable`` witness and its derivatives by character,
+which die with it.  No walk over a regex, nor the parser, recurses in
+Python, so how deep a pattern or a derivative nests is bounded by memory.
+Recursive calls carry the regex itself as a :class:`~effparse.core.RegexV`
+value.
 
 The concrete regex syntax, read and written by :func:`parse_regex` and
 :func:`format_regex`, serves the command line and the tests only; it
@@ -36,9 +39,10 @@ Parse trees render as s-expressions or JSON with :func:`format_tree`.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Any
 
 from .core import (
     Ch,
@@ -55,6 +59,7 @@ from .core import (
     bind,
     call,
     choice,
+    choices,
     fail,
     fmap,
     pure,
@@ -146,18 +151,27 @@ class Regex:
     cost O(1) however deep the regex.  Constructors take their fields
     positionally.  The interning table is not locked, so regexes are built
     from one thread at a time.
+
+    A node also holds answers that die with it: its :func:`nullable`
+    witness, made from its fields' when it is built, and its tables of
+    :func:`derivative` and :func:`derivative_step` results by character.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_nullable", "_derived")
 
     def __new__(cls, *fields: object) -> Regex:
-        # The fields are characters or nodes that are themselves interned,
-        # so a lookup hashes and compares only one level.
-        key = (cls, *fields)
+        # The fields are characters or interned nodes, so a lookup hashes
+        # one level.  Nodes enter the key by identity, unique while they
+        # live, so the table holds none, and a node that only its own tables
+        # hold (``a*`` is its own step by ``a``) dies in one collection.
+        key = (cls, *fields) if cls is Singleton else (cls, *map(id, fields))
         node = _INTERNED.get(key)
         if node is None:
             node = object.__new__(cls)
             cls._fill(node, *fields)
+            # Past the frozen dataclass's __setattr__.
+            object.__setattr__(node, "_nullable", _nullable_of(node))
+            object.__setattr__(node, "_derived", ({}, {}))
             _INTERNED[key] = node
         return node
 
@@ -167,8 +181,8 @@ class Regex:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)  # type: ignore[attr-defined]
 
 
-#: Every live node by class and fields.  The values are weak: a node that
-#: nothing else holds leaves the table, so interning keeps no regex alive.
+#: Every live node by class and fields, child nodes by ``id``.  The values
+#: are weak, so a node that nothing else holds leaves the table.
 _INTERNED: weakref.WeakValueDictionary[tuple, Regex] = weakref.WeakValueDictionary()
 
 
@@ -225,27 +239,51 @@ class Star(Regex):
     body: Regex
 
 
-EMPTY = Empty()
-EPSILON = Epsilon()
+#: A table entry: a derivative and its rectifier, which :func:`_rectify` runs.
+_Entry = tuple[Regex, tuple]
+
+
+def _children(r: Regex) -> tuple[Regex, ...]:
+    if isinstance(r, (Alt, Cat)):
+        return r.left, r.right
+    return (r.body,) if isinstance(r, Star) else ()
+
+
+def _fold(
+    root: Regex,
+    combine: Callable[..., Any],
+    children: Callable[[Regex], tuple[Regex, ...]] = _children,
+    known: Callable[[Regex], Any] = lambda _node: None,
+) -> dict[Regex, Any]:
+    """``combine(node, *answers for children(node))`` by node, once each, for
+    ``root`` and the nodes below it down to those ``known`` answers (not
+    ``None``).  Pending nodes wait on a stack, so depth costs only memory."""
+    answers: dict[Regex, Any] = {}
+    # Nodes to answer, and nodes paired with their children once these are.
+    todo: list[Any] = [root]
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:
+            node, kids = node
+            answers[node] = combine(node, *[answers[kid] for kid in kids])
+        elif node not in answers:
+            answer = known(node)
+            if answer is None:
+                kids = children(node)
+                todo += [(node, kids), *kids]
+            else:
+                answers[node] = answer
+    return answers
 
 
 def regex_size(r: Regex) -> int:
-    """Number of AST nodes in ``r``."""
-    if isinstance(r, (Empty, Epsilon, Singleton)):
-        return 1
-    if isinstance(r, (Alt, Cat)):
-        return 1 + regex_size(r.left) + regex_size(r.right)
-    assert isinstance(r, Star)
-    return 1 + regex_size(r.body)
+    """Number of AST nodes in ``r``, a shared node counting once per use."""
+    return _fold(r, lambda _node, *sizes: 1 + sum(sizes))[r]
 
 
 def has_no_star(r: Regex) -> bool:
     """True iff no iteration node occurs anywhere in ``r``."""
-    if isinstance(r, (Empty, Epsilon, Singleton)):
-        return True
-    if isinstance(r, (Alt, Cat)):
-        return has_no_star(r.left) and has_no_star(r.right)
-    return False
+    return not any(isinstance(node, Star) for node in _fold(r, lambda _node, *_kids: True))
 
 
 class ParseTree:
@@ -288,6 +326,27 @@ class ListT(ParseTree):
 UNIT_TREE = UnitT()
 
 
+def _nullable_of(r: Regex) -> ParseTree | None:
+    """The :func:`nullable` witness of a node being built, from its fields'."""
+    if isinstance(r, Epsilon):
+        return UNIT_TREE
+    if isinstance(r, Star):
+        return ListT(())
+    if isinstance(r, Alt):
+        left, right = r.left._nullable, r.right._nullable
+        if left is not None:
+            return LeftT(left)
+        return None if right is None else RightT(right)
+    if isinstance(r, Cat):
+        left, right = r.left._nullable, r.right._nullable
+        return None if left is None or right is None else PairT(left, right)
+    return None
+
+
+EMPTY = Empty()
+EPSILON = Epsilon()
+
+
 @dataclass(frozen=True)
 class MatchInstance:
     """A regex, an input string, and a tree that claims to witness a match."""
@@ -305,32 +364,14 @@ def tree_shape_ok(r: Regex, t: ParseTree) -> bool:
 
     Shape only: a character leaf of the *wrong* character still fits a
     one-character regex — whether the characters line up is the matching
-    relation's business, not the shape's.
+    relation's business, not the shape's.  A desk-scale oracle, like
+    :func:`is_match`: it recurses once per level of ``r``.
     """
-    if isinstance(r, Empty):
-        return False
-    if isinstance(r, Epsilon):
-        return isinstance(t, UnitT)
-    if isinstance(r, Singleton):
-        return isinstance(t, CharT)
-    if isinstance(r, Alt):
-        if isinstance(t, LeftT):
-            return tree_shape_ok(r.left, t.item)
-        if isinstance(t, RightT):
-            return tree_shape_ok(r.right, t.item)
-        return False
-    if isinstance(r, Cat):
-        return (
-            isinstance(t, PairT)
-            and tree_shape_ok(r.left, t.first)
-            and tree_shape_ok(r.right, t.second)
-        )
-    assert isinstance(r, Star)
-    return isinstance(t, ListT) and all(tree_shape_ok(r.body, item) for item in t.items)
+    return _fits(r, t, False)
 
 
 def tree_yield(t: ParseTree) -> str:
-    """The string a parse tree spells out, leaf to leaf."""
+    """The string a parse tree spells out, leaf to leaf (recursively)."""
     if isinstance(t, UnitT):
         return ""
     if isinstance(t, CharT):
@@ -353,96 +394,47 @@ def is_match(r: Regex, s: str, t: ParseTree) -> bool:
 
     A witness spells exactly its yield, so this is the inductive relation:
     ``t`` must fit ``r`` in shape and in characters, and its yield must be
-    ``s``.  Linear in the size of ``t``; it recurses once per level of
-    ``r``, not per character of ``s``.
+    ``s``.  Linear in the size of ``t``.  A desk-scale oracle, called by
+    no command: it recurses once per level of ``r`` and of ``t``.
     """
     return _fits(r, t) and tree_yield(t) == s
 
 
-def _fits(r: Regex, t: ParseTree) -> bool:
+def _fits(r: Regex, t: ParseTree, chars: bool = True) -> bool:
     """Does ``t`` witness some string for ``r``?  Like :func:`tree_shape_ok`,
-    but a character leaf must hold the regex's character."""
+    but with ``chars`` a character leaf must hold the regex's character."""
     if isinstance(r, Empty):
         return False
     if isinstance(r, Epsilon):
         return isinstance(t, UnitT)
     if isinstance(r, Singleton):
-        return isinstance(t, CharT) and t.char == r.char
+        return isinstance(t, CharT) and (not chars or t.char == r.char)
     if isinstance(r, Alt):
-        if isinstance(t, LeftT):
-            return _fits(r.left, t.item)
-        if isinstance(t, RightT):
-            return _fits(r.right, t.item)
+        if isinstance(t, (LeftT, RightT)):
+            return _fits(r.left if isinstance(t, LeftT) else r.right, t.item, chars)
         return False
     if isinstance(r, Cat):
-        return isinstance(t, PairT) and _fits(r.left, t.first) and _fits(r.right, t.second)
+        return isinstance(t, PairT) and _fits(r.left, t.first, chars) and _fits(r.right, t.second, chars)
     assert isinstance(r, Star)
-    return isinstance(t, ListT) and all(_fits(r.body, item) for item in t.items)
+    return isinstance(t, ListT) and all(_fits(r.body, item, chars) for item in t.items)
 
 
-@lru_cache(maxsize=None)
-def _length_bounds(r: Regex) -> tuple[int, int | None]:
-    """The least and greatest length of a string ``r`` matches; ``None`` is
-    unbounded.  ``\\0`` matches nothing, so any bounds hold for it, and
+def _length_bounds(r: Regex, *kids: tuple[int, int | None]) -> tuple[int, int | None]:
+    """The least and greatest length of a string ``r`` matches, from its
+    children's; ``None`` is unbounded.  Any bounds hold for ``\\0``, and
     ``(0, 0)`` leaves a concatenation with it one split to try."""
     if isinstance(r, (Empty, Epsilon)):
         return 0, 0
     if isinstance(r, Singleton):
         return 1, 1
     if isinstance(r, Star):
-        return 0, (0 if _length_bounds(r.body)[1] == 0 else None)
+        return 0, (0 if kids[0][1] == 0 else None)
     assert isinstance(r, (Alt, Cat))
-    (left_lo, left_hi), (right_lo, right_hi) = _length_bounds(r.left), _length_bounds(r.right)
+    (left_lo, left_hi), (right_lo, right_hi) = kids
     unbounded = left_hi is None or right_hi is None
     if isinstance(r, Alt):
         return min(left_lo, right_lo), None if unbounded else max(left_hi, right_hi)  # type: ignore[type-var]
     return left_lo + right_lo, None if unbounded else left_hi + right_hi  # type: ignore[operator]
-
-
-def _lengths(r: Regex, lo: int, hi: int) -> range:
-    """The lengths from ``lo`` to ``hi`` within ``r``'s bounds, shortest first."""
-    r_lo, r_hi = _length_bounds(r)
-    return range(max(lo, r_lo), (hi if r_hi is None else min(hi, r_hi)) + 1)
-
-
-@lru_cache(maxsize=None)
-def _enum(r: Regex, s: str, k: int) -> tuple[ParseTree, ...]:
-    if isinstance(r, Empty):
-        return ()
-    if isinstance(r, Epsilon):
-        return (UNIT_TREE,) if s == "" else ()
-    if isinstance(r, Singleton):
-        return (CharT(r.char),) if s == r.char else ()
-    if isinstance(r, Alt):
-        return tuple(LeftT(t) for t in _enum(r.left, s, k)) + tuple(
-            RightT(t) for t in _enum(r.right, s, k)
-        )
-    if isinstance(r, Cat):
-        n, (right_lo, right_hi) = len(s), _length_bounds(r.right)
-        return tuple(
-            PairT(tl, tr)
-            for i in _lengths(r.left, 0 if right_hi is None else n - right_hi, n - right_lo)
-            for tl in _enum(r.left, s[:i], k)
-            for tr in _enum(r.right, s[i:], k)
-        )
-    assert isinstance(r, Star)
-    return _enum_star(r.body, s, k, k)
-
-
-@lru_cache(maxsize=None)
-def _enum_star(q: Regex, s: str, remaining: int, k: int) -> tuple[ListT, ...]:
-    out: list[ListT] = []
-    if s == "":
-        out.append(ListT(()))
-    if remaining > 0:
-        for head in _enum(q, "", k):
-            for rest in _enum_star(q, s, remaining - 1, k):
-                out.append(ListT((head,) + rest.items))
-    for i in _lengths(q, 1, len(s)):
-        for head in _enum(q, s[:i], k):
-            for rest in _enum_star(q, s[i:], remaining, k):
-                out.append(ListT((head,) + rest.items))
-    return tuple(out)
 
 
 def enumerate_matches(r: Regex, s: str, max_empty_iterations: int = 0) -> tuple[ParseTree, ...]:
@@ -459,10 +451,60 @@ def enumerate_matches(r: Regex, s: str, max_empty_iterations: int = 0) -> tuple[
     witnesses before right ones; concatenations order by split point,
     shortest left part first; iterations put the bare empty list first,
     then empty-consuming heads, then heads by how much they consume.
+
+    A desk-scale oracle: it recurses once per regex level and per
+    iteration, and its tables last for one call.
     """
     if max_empty_iterations < 0:
         raise ValueError("max_empty_iterations must be >= 0")
-    return tuple(dict.fromkeys(_enum(r, s, max_empty_iterations)))
+    bounds = _fold(r, _length_bounds)
+
+    def lengths(q: Regex, lo: int, hi: int) -> range:
+        """The lengths from ``lo`` to ``hi`` within ``q``'s bounds, shortest first."""
+        q_lo, q_hi = bounds[q]
+        return range(max(lo, q_lo), (hi if q_hi is None else min(hi, q_hi)) + 1)
+
+    @lru_cache(maxsize=None)
+    def enum(r: Regex, s: str) -> tuple[ParseTree, ...]:
+        if isinstance(r, Empty):
+            return ()
+        if isinstance(r, Epsilon):
+            return (UNIT_TREE,) if s == "" else ()
+        if isinstance(r, Singleton):
+            return (CharT(r.char),) if s == r.char else ()
+        if isinstance(r, Alt):
+            return tuple(LeftT(t) for t in enum(r.left, s)) + tuple(RightT(t) for t in enum(r.right, s))
+        if isinstance(r, Cat):
+            n, (right_lo, right_hi) = len(s), bounds[r.right]
+            return tuple(
+                PairT(tl, tr)
+                for i in lengths(r.left, 0 if right_hi is None else n - right_hi, n - right_lo)
+                for tl in enum(r.left, s[:i])
+                for tr in enum(r.right, s[i:])
+            )
+        assert isinstance(r, Star)
+        return enum_star(r.body, s, max_empty_iterations)
+
+    @lru_cache(maxsize=None)
+    def enum_star(q: Regex, s: str, remaining: int) -> tuple[ListT, ...]:
+        out: list[ListT] = []
+        if s == "":
+            out.append(ListT(()))
+        if remaining > 0:
+            for head in enum(q, ""):
+                for rest in enum_star(q, s, remaining - 1):
+                    out.append(ListT((head,) + rest.items))
+        for i in lengths(q, 1, len(s)):
+            for head in enum(q, s[:i]):
+                for rest in enum_star(q, s[i:], remaining):
+                    out.append(ListT((head,) + rest.items))
+        return tuple(out)
+
+    try:
+        return tuple(dict.fromkeys(enum(r, s)))
+    finally:
+        enum.cache_clear()
+        enum_star.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +521,7 @@ def all_splits(xs: str, row: EffectRow = NONDET_ROW) -> Computation:
     Results are ``SplitV`` values, shortest prefix first; a string of
     length n splits n+1 ways.
     """
-    if xs == "":
-        return pure(SplitV("", ""))
-    first, rest = xs[0], xs[1:]
-    return choice(
-        pure(SplitV("", xs)),
-        bind(
-            all_splits(rest, row),
-            lambda sv: pure(SplitV(first + sv.prefix, sv.suffix)),
-        ),
-        row,
-    )
+    return choices([pure(SplitV(xs[:i], xs[i:])) for i in range(len(xs) + 1)], row)
 
 
 def match_input(r: Regex, xs: str) -> PairV:
@@ -509,14 +541,10 @@ def decode_match_input(value: Value) -> tuple[Regex, str]:
 
 
 def _cons_iteration(pair_value: Value) -> Value:
-    if (
-        not isinstance(pair_value, TreeV)
-        or not isinstance(pair_value.tree, PairT)
-        or not isinstance(pair_value.tree.second, ListT)
-    ):
+    tree = _tree_of(pair_value)
+    if not isinstance(tree, PairT):
         raise TreeShapeError(f"iteration step should return (head, rest-of-list): {pair_value!r}")
-    head, rest = pair_value.tree.first, pair_value.tree.second
-    return TreeV(ListT((head,) + rest.items))
+    return TreeV(_cons(tree.first, tree.second))
 
 
 def match_structural(r: Regex, xs: str) -> Computation:
@@ -593,49 +621,19 @@ def match_spec_invariant(max_outputs: int | None = None) -> Invariant:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def nullable(r: Regex) -> ParseTree | None:
     """A witness that ``r`` matches the empty string, or ``None``.
 
     The witness is canonical: left alternatives are preferred and
     iterations are witnessed by the empty list, so equal regexes always
-    get the same tree.
+    get the same tree.  It is made once, when the node is built.
     """
-    if isinstance(r, (Empty, Singleton)):
-        return None
-    if isinstance(r, Epsilon):
-        return UNIT_TREE
-    if isinstance(r, Alt):
-        left = nullable(r.left)
-        if left is not None:
-            return LeftT(left)
-        right = nullable(r.right)
-        return RightT(right) if right is not None else None
-    if isinstance(r, Cat):
-        left, right = nullable(r.left), nullable(r.right)
-        if left is None or right is None:
-            return None
-        return PairT(left, right)
-    assert isinstance(r, Star)
-    return ListT(())
+    return r._nullable
 
 
-@lru_cache(maxsize=None)
 def derivative(r: Regex, c: str) -> Regex:
     """The residual regex after consuming the character ``c``."""
-    if isinstance(r, (Empty, Epsilon)):
-        return EMPTY
-    if isinstance(r, Singleton):
-        return EPSILON if r.char == c else EMPTY
-    if isinstance(r, Alt):
-        return Alt(derivative(r.left, c), derivative(r.right, c))
-    if isinstance(r, Cat):
-        through_left = Cat(derivative(r.left, c), r.right)
-        if nullable(r.left) is not None:
-            return Alt(through_left, derivative(r.right, c))
-        return through_left
-    assert isinstance(r, Star)
-    return Cat(derivative(r.body, c), r)
+    return _derive(r, c, False)[0]
 
 
 def integral_tree(r: Regex, c: str, t: ParseTree) -> ParseTree:
@@ -645,42 +643,10 @@ def integral_tree(r: Regex, c: str, t: ParseTree) -> ParseTree:
     witnesses the match of ``r`` on the string with ``c`` put back in
     front.  A tree of the wrong shape raises :class:`TreeShapeError`.
     """
-    if isinstance(r, Singleton):
-        if r.char == c and isinstance(t, UnitT):
-            return CharT(c)
-        raise TreeShapeError(f"cannot integrate {t!r} against a one-character regex")
-    if isinstance(r, Alt):
-        if isinstance(t, LeftT):
-            return LeftT(integral_tree(r.left, c, t.item))
-        if isinstance(t, RightT):
-            return RightT(integral_tree(r.right, c, t.item))
-        raise TreeShapeError(f"cannot integrate {t!r} against an alternation")
-    if isinstance(r, Cat):
-        if nullable(r.left) is not None:
-            if isinstance(t, LeftT) and isinstance(t.item, PairT):
-                return PairT(integral_tree(r.left, c, t.item.first), t.item.second)
-            if isinstance(t, RightT):
-                witness = nullable(r.left)
-                assert witness is not None
-                return PairT(witness, integral_tree(r.right, c, t.item))
-            raise TreeShapeError(f"cannot integrate {t!r} against this concatenation")
-        if isinstance(t, PairT):
-            return PairT(integral_tree(r.left, c, t.first), t.second)
-        raise TreeShapeError(f"cannot integrate {t!r} against this concatenation")
-    if isinstance(r, Star):
-        if isinstance(t, PairT) and isinstance(t.second, ListT):
-            return ListT((integral_tree(r.body, c, t.first),) + t.second.items)
-        raise TreeShapeError(f"cannot integrate {t!r} against an iteration")
-    # Empty and Epsilon have the never-matching regex as derivative.
-    raise TreeShapeError(f"the derivative of {format_regex(r)!r} has no witnesses")
+    return _rectify(_derive(r, c, False)[1], t, True)
 
 
-#: Maps a witness of a simplified derivative to one of the paper's derivative.
-Rectifier = Callable[[ParseTree], ParseTree]
-
-
-@lru_cache(maxsize=None)
-def derivative_step(r: Regex, c: str) -> tuple[Regex, Rectifier]:
+def derivative_step(r: Regex, c: str) -> tuple[Regex, Callable[[ParseTree], ParseTree]]:
     """The derivative of ``r`` by ``c``, simplified, and its rectifier.
 
     The regex matches what ``derivative(r, c)`` matches, but is built by
@@ -691,104 +657,159 @@ def derivative_step(r: Regex, c: str) -> tuple[Regex, Rectifier]:
     Brzozowski's theorem repeated steps reach finitely many regexes.  The
     rectifier maps each witness of the simplified regex to the witness of
     ``derivative(r, c)`` it stands for (Sulzmann & Lu, FLOPS 2014).
-
-    Recurses over ``r`` only where :func:`derivative` does; the subterms it
-    keeps are not walked again, except that a loop reads alternatives off
-    the right spine of a chain.
     """
-    if isinstance(r, (Empty, Epsilon)):
-        return EMPTY, _no_witness
-    if isinstance(r, Singleton):
-        return (EPSILON, _same) if r.char == c else (EMPTY, _no_witness)
+    d, fix = _derive(r, c, True)
+    return d, lambda t: _rectify(fix, t, False)
+
+
+def _derive(r: Regex, c: str, simplify: bool) -> _Entry:
+    """``r``'s table entry for ``c``: its derivative, simplified or not, and the
+    rectifier.  Missing entries of the nodes it is made from come first."""
+
+    def combine(node: Regex, *kids: _Entry) -> _Entry:
+        node._derived[simplify][c] = entry = _derivative_of(node, c, simplify, kids)
+        return entry
+
+    return _fold(r, combine, _needed, lambda node: node._derived[simplify].get(c))[r]
+
+
+def _needed(r: Regex) -> tuple[Regex, ...]:
+    """The children whose derivatives that of ``r`` is made from."""
+    return (r.left,) if isinstance(r, Cat) and r.left._nullable is None else _children(r)
+
+
+def _derivative_of(r: Regex, c: str, simplify: bool, kids: tuple[_Entry, ...]) -> _Entry:
+    """The derivative of ``r`` by ``c`` and its rectifier, from the entries
+    of the children :func:`_needed` names."""
+    if isinstance(r, Star):
+        return _cat(kids[0], r, _STAR, simplify)
     if isinstance(r, Alt):
-        return _alt(
-            _alternatives(*derivative_step(r.left, c), LeftT)
-            + _alternatives(*derivative_step(r.right, c), RightT)
-        )
-    if isinstance(r, Cat):
-        through_left = _cat(*derivative_step(r.left, c), r.right)
-        if nullable(r.left) is None:
+        sides = [(kids[0], _ALT, LeftT), (kids[1], _ALT, RightT)]
+    elif isinstance(r, Cat):
+        witness = r.left._nullable
+        through_left = _cat(kids[0], r.right, _CAT if witness is None else _NCAT, simplify)
+        if witness is None:
             return through_left
-        return _alt(
-            _alternatives(*through_left, LeftT)
-            + _alternatives(*derivative_step(r.right, c), RightT)
-        )
-    assert isinstance(r, Star)
-    return _cat(*derivative_step(r.body, c), r)
+        sides = [(through_left, None, None), (kids[1], _NCAT_RIGHT, witness)]
+    else:
+        return (EPSILON, (_CHAR, c)) if isinstance(r, Singleton) and r.char == c else (EMPTY, (_NONE,))
+    return _alt([part for side in sides for part in _alternatives(*side, simplify)], simplify)
 
 
-def _same(t: ParseTree) -> ParseTree:
+# A rectifier is a tuple that _rectify runs.  (_PAIR, shape, None, fix)
+# goes on into the first half of a pair, (_UNIT_FIRST, shape, None, fix)
+# into the unit witness of a ``\e`` dropped on the left, and (_STAY, shape,
+# kept, fix) on the same witness; ``shape`` rebuilds the level from the
+# result and what was kept, by one function for the parent's derivative
+# and one for the parent, its integral.  (_PICK, fixes) goes on untagged
+# with the alternative the witness takes, (_REBUILD, tags, fix) tagged;
+# (_CHAR, c) ends at the unit witness of ``c``, and (_NONE,) at ``\0``.
+_PAIR, _UNIT_FIRST, _STAY, _PICK, _REBUILD, _CHAR, _NONE = range(7)
+
+
+def _cons(head: ParseTree, rest: ParseTree) -> ParseTree:
+    if not isinstance(rest, ListT):
+        raise TreeShapeError(f"cannot integrate an iteration onto {rest!r}")
+    return ListT((head,) + rest.items)
+
+
+_ALT = (lambda t, tag: tag(t),) * 2
+_CAT = (PairT, PairT)
+_NCAT = (lambda t, rest: LeftT(PairT(t, rest)), PairT)
+_NCAT_RIGHT = (lambda t, _witness: RightT(t), lambda t, witness: PairT(witness, t))
+_STAR = (PairT, _cons)
+
+
+def _rectify(fix: tuple, t: ParseTree, integrate: bool) -> ParseTree:
+    """Map ``t``, a witness of the derivative in an entry of ``r``'s table,
+    by the entry's rectifier ``fix`` to the witness of the paper's
+    derivative of ``r`` it stands for, or with ``integrate`` on to its
+    integral for ``r``.  A misshapen tree raises :class:`TreeShapeError`."""
+    passed: list[tuple[Callable[[ParseTree, Any], ParseTree], Any]] = []
+    while True:
+        how = fix[0]
+        if how == _PAIR and isinstance(t, PairT):
+            passed.append((fix[1][integrate], t.second))
+            t, fix = t.first, fix[3]
+        elif how == _STAY:
+            passed.append((fix[1][integrate], fix[2]))
+            fix = fix[3]
+        elif how == _PICK:
+            fixes, i = fix[1], 0
+            while i < len(fixes) - 1 and isinstance(t, RightT):
+                t, i = t.item, i + 1
+            if i < len(fixes) - 1:
+                if not isinstance(t, LeftT):
+                    raise TreeShapeError(f"expected an alternative, got {t!r}")
+                t = t.item
+            fix = fixes[i]
+        elif how == _UNIT_FIRST:
+            passed.append((fix[1][integrate], t))
+            t, fix = UNIT_TREE, fix[3]
+        elif how == _REBUILD:
+            for tag in fix[1]:
+                t = tag(t)
+            fix = fix[2]
+        elif how == _CHAR and isinstance(t, UnitT):
+            t = CharT(fix[1]) if integrate else t
+            break
+        else:
+            raise TreeShapeError(f"{t!r} witnesses no derivative here")
+    for rebuild, kept in reversed(passed):
+        t = rebuild(t, kept)
     return t
 
 
-def _no_witness(t: ParseTree) -> ParseTree:
-    raise TreeShapeError(f"\\0 has no witnesses, got {t!r}")
-
-
-def _cat(left: Regex, fix_left: Rectifier, right: Regex) -> tuple[Regex, Rectifier]:
-    """``Cat(left, right)`` with ``\\0`` absorbing and ``\\e`` as unit; the
-    rectifier gives witnesses of ``Cat(d, right)``, where ``fix_left`` maps
-    witnesses of ``left`` to those of ``d``."""
-    if left is EMPTY or right is EMPTY:
-        return EMPTY, _no_witness
-    if left is EPSILON:
-        first = fix_left(UNIT_TREE)
-        return right, lambda t: PairT(first, t)
-    if right is EPSILON:
-        return left, lambda t: PairT(fix_left(t), UNIT_TREE)
-    return Cat(left, right), lambda t: PairT(fix_left(t.first), t.second)  # type: ignore[attr-defined]
-
-
-def _alternatives(d: Regex, fix: Rectifier, tag: type) -> list[tuple[Regex, Rectifier]]:
-    """The alternatives on the right spine of ``d``, each with the rectifier
-    that puts its witness back in place in ``d``'s, applies ``fix`` and wraps
-    the result in ``tag``."""
+def _alternatives(entry: _Entry, shape: tuple | None, kept: Any, simplify: bool) -> list[_Entry]:
+    """What the derivative in ``entry`` brings to an alternation: with
+    ``simplify`` the alternatives on its right spine, else itself; each
+    with its rectifier, through a ``shape`` level unless that is ``None``."""
+    d, fix = entry
+    if not simplify:
+        return [(d, fix if shape is None else (_STAY, shape, kept, fix))]
     parts = []
     while isinstance(d, Alt):
         parts.append(d.left)
         d = d.right
     parts.append(d)
-    last = len(parts) - 1
-
-    def rectifier(i: int) -> Rectifier:
-        def rectify(t: ParseTree) -> ParseTree:
-            if i < last:
-                t = LeftT(t)
-            for _ in range(i):
-                t = RightT(t)
-            return tag(fix(t))
-
-        return rectify
-
-    return [(part, rectifier(i)) for i, part in enumerate(parts)]
+    fixes = fix[1] if fix[0] == _PICK else (fix,)
+    last, out = len(fixes) - 1, []
+    for i, part in enumerate(parts):
+        part_fix = fixes[min(i, last)]
+        if i >= last and len(parts) > len(fixes):
+            # The chain's last alternative is an alternation: rebuild it.
+            part_fix = (_REBUILD, (LeftT,) * (i < len(parts) - 1) + (RightT,) * (i - last), part_fix)
+        out.append((part, part_fix if shape is None else (_STAY, shape, kept, part_fix)))
+    return out
 
 
-def _alt(parts: list[tuple[Regex, Rectifier]]) -> tuple[Regex, Rectifier]:
-    """One right-nested chain of the alternatives in ``parts`` other than
-    ``\\0``, each the first time it comes; the rectifier finds the
-    alternative a witness takes and hands its witness to that one's."""
-    kept: dict[Regex, Rectifier] = {}
-    for part, fix in parts:
-        if part is not EMPTY:
-            kept.setdefault(part, fix)
-    if not kept:
-        return EMPTY, _no_witness
-    alternatives, fixes = list(kept), list(kept.values())
-    d = alternatives[-1]
-    for part in reversed(alternatives[:-1]):
-        d = Alt(part, d)
-    if len(fixes) == 1:
-        return d, fixes[0]
-    last = len(fixes) - 1
+def _alt(parts: list[_Entry], simplify: bool) -> _Entry:
+    """The alternation of ``parts`` and its rectifier.  With ``simplify``,
+    one right-nested chain of the parts but ``\\0``, each the first time."""
+    if simplify:
+        kept: dict[Regex, tuple] = {}
+        for part, fix in parts:
+            if part is not EMPTY:
+                kept.setdefault(part, fix)
+        parts = list(kept.items())
+        if not parts:
+            return EMPTY, (_NONE,)
+    alternatives, fixes = zip(*parts)
+    return _right_nested(Alt, alternatives), fixes[0] if len(fixes) == 1 else (_PICK, fixes)
 
-    def rectify(t: ParseTree) -> ParseTree:
-        for i in range(last):
-            if isinstance(t, LeftT):
-                return fixes[i](t.item)
-            t = t.item  # type: ignore[attr-defined]
-        return fixes[last](t)
 
-    return d, rectify
+def _cat(entry: _Entry, right: Regex, shape: tuple, simplify: bool) -> _Entry:
+    """``Cat(d, right)`` for the derivative ``d`` in ``entry``, with its
+    rectifier through a ``shape`` level.  With ``simplify``, ``\\0``
+    absorbs and ``\\e`` is a unit on either side."""
+    d, fix = entry
+    if simplify and (d is EMPTY or right is EMPTY):
+        return EMPTY, (_NONE,)
+    if simplify and d is EPSILON:
+        return right, (_UNIT_FIRST, shape, None, fix)
+    if simplify and right is EPSILON:
+        return d, (_STAY, shape, UNIT_TREE, fix)
+    return Cat(d, right), (_PAIR, shape, None, fix)
 
 
 # ---------------------------------------------------------------------------
@@ -802,21 +823,19 @@ def dmatch(r: Regex) -> Computation:
     Reads an optional symbol: on a character ``x``, recurse on the
     simplified derivative of :func:`derivative_step`, rectify the returned
     witness to one of ``derivative(r, x)`` and integrate it back to one for
-    ``r``; at end of input, produce the empty-string witness or fail.  The
-    witness is the one the unsimplified derivatives give, but the regexes
-    recursed on stay few and small however long the input.
+    ``r``, both in one loop; at end of input, produce the empty-string
+    witness or fail.  The witness is the one the unsimplified derivatives
+    give, but the regexes recursed on stay few and small however long the
+    input.
     """
     row = DMATCH_ROW
 
     def continue_with(response: Value) -> Computation:
         if isinstance(response, Ch):
             x = response.char
-            d, rectify = derivative_step(r, x)
-            return fmap(
-                lambda tv: TreeV(integral_tree(r, x, rectify(_tree_of(tv)))),
-                call(row, RegexV(d)),
-            )
-        witness = nullable(r)
+            d, fix = r._derived[True].get(x) or _derive(r, x, True)
+            return fmap(lambda tv: TreeV(_rectify(fix, _tree_of(tv), True)), call(row, RegexV(d)))
+        witness = r._nullable
         return pure(TreeV(witness)) if witness is not None else fail(row)
 
     return bind(symbol_maybe(row), continue_with)
@@ -864,87 +883,19 @@ def dmatch_run(r: Regex, s: str) -> tuple[ParseTree, ...]:
 
 _METACHARS = "|*()\\"
 _ESCAPES = {"0": EMPTY, "e": EPSILON}
+_LEAF_TEXT = {EMPTY: "\\0", EPSILON: "\\e"}
 
 
-class _RegexParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str) -> RegexSyntaxError:
-        return RegexSyntaxError(message, self.pos)
-
-    def skip_blanks(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self.skip_blanks()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def parse(self) -> Regex:
-        r = self.parse_alt()
-        if self.peek() is not None:
-            raise self.error(f"unexpected {self.text[self.pos]!r}")
-        return r
-
-    def parse_alt(self) -> Regex:
-        parts = [self.parse_cat()]
-        while self.peek() == "|":
-            self.pos += 1
-            parts.append(self.parse_cat())
-        result = parts[-1]
-        for part in reversed(parts[:-1]):
-            result = Alt(part, result)
-        return result
-
-    def parse_cat(self) -> Regex:
-        factors = [self.parse_factor()]
-        while self.peek() not in (None, "|", ")"):
-            factors.append(self.parse_factor())
-        result = factors[-1]
-        for factor in reversed(factors[:-1]):
-            result = Cat(factor, result)
-        return result
-
-    def parse_factor(self) -> Regex:
-        atom = self.parse_atom()
-        while self.peek() == "*":
-            self.pos += 1
-            atom = Star(atom)
-        return atom
-
-    def parse_atom(self) -> Regex:
-        head = self.peek()
-        if head is None:
-            raise self.error("expected an expression, found end of pattern")
-        if head == "(":
-            self.pos += 1
-            inner = self.parse_alt()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.pos += 1
-            return inner
-        if head in ")|*":
-            raise self.error(f"unexpected {head!r}")
-        if head == "\\":
-            self.pos += 1
-            if self.pos >= len(self.text):
-                raise self.error("dangling escape at end of pattern")
-            escaped = self.text[self.pos]
-            self.pos += 1
-            if escaped in _ESCAPES:
-                return _ESCAPES[escaped]
-            if escaped in _METACHARS:
-                return Singleton(escaped)
-            self.pos -= 1
-            raise self.error(f"unknown escape '\\{escaped}'")
-        self.pos += 1
-        return Singleton(head)
+def _right_nested(node: Callable[[Regex, Regex], Regex], items: Sequence[Regex]) -> Regex:
+    """``items`` joined from the right by ``node``: ``a|(b|c)``."""
+    result = items[-1]
+    for item in reversed(items[:-1]):
+        result = node(item, result)
+    return result
 
 
 def parse_regex(pattern: str) -> Regex:
-    """Parse the concrete regex syntax.
+    """Parse the concrete syntax.
 
     ``|`` alternates (lowest precedence), juxtaposition concatenates,
     postfix ``*`` iterates, parentheses group.  ``\\0`` is the match-nothing
@@ -952,7 +903,48 @@ def parse_regex(pattern: str) -> Regex:
     ``\\)`` and ``\\\\`` escape the metacharacters.  Spaces and tabs
     between tokens are ignored; any other character stands for itself.
     """
-    return _RegexParser(pattern).parse()
+    # The finished alternatives of the group being read and the factors of
+    # the next; the enclosing groups' wait on a stack, not in Python frames.
+    alternatives: list[Regex] = []
+    factors: list[Regex] = []
+    open_groups: list[tuple[list[Regex], list[Regex]]] = []
+    pos = 0
+    while True:
+        while pos < len(pattern) and pattern[pos] in " \t":
+            pos += 1
+        if pos == len(pattern):
+            break
+        head = pattern[pos]
+        if head in ")|*" and not factors or head == ")" and not open_groups:
+            raise RegexSyntaxError(f"unexpected {head!r}", pos)
+        pos += 1
+        if head == "(":
+            open_groups.append((alternatives, factors))
+            alternatives, factors = [], []
+        elif head == "*":
+            factors[-1] = Star(factors[-1])
+        elif head == "|":
+            alternatives.append(_right_nested(Cat, factors))
+            factors = []
+        elif head == ")":
+            group = _right_nested(Alt, [*alternatives, _right_nested(Cat, factors)])
+            alternatives, factors = open_groups.pop()
+            factors.append(group)
+        elif head == "\\":
+            if pos == len(pattern):
+                raise RegexSyntaxError("dangling escape at end of pattern", pos)
+            escaped = pattern[pos]
+            if escaped not in _ESCAPES and escaped not in _METACHARS:
+                raise RegexSyntaxError(f"unknown escape '\\{escaped}'", pos)
+            factors.append(_ESCAPES.get(escaped) or Singleton(escaped))
+            pos += 1
+        else:
+            factors.append(Singleton(head))
+    if not factors:
+        raise RegexSyntaxError("expected an expression, found end of pattern", pos)
+    if open_groups:
+        raise RegexSyntaxError("expected ')'", pos)
+    return _right_nested(Alt, [*alternatives, _right_nested(Cat, factors)])
 
 
 def format_regex(r: Regex) -> str:
@@ -960,29 +952,35 @@ def format_regex(r: Regex) -> str:
 
     Concatenations are separated by a space for readability, which the
     parser skips — so a regex whose singletons are spaces or tabs is not
-    representable in the concrete syntax and will not round-trip.
+    representable in the concrete syntax and will not round-trip.  Pending
+    nodes and text wait on an explicit stack, as in :func:`render_tree`.
     """
-    return _format_regex(r, 0)
-
-
-def _format_regex(r: Regex, context: int) -> str:
-    if isinstance(r, Empty):
-        return "\\0"
-    if isinstance(r, Epsilon):
-        return "\\e"
-    if isinstance(r, Singleton):
-        return "\\" + r.char if r.char in _METACHARS else r.char
-    if isinstance(r, Alt):
-        rendered = _format_regex(r.left, 1) + "|" + _format_regex(r.right, 0)
-        level = 0
-    elif isinstance(r, Cat):
-        rendered = _format_regex(r.left, 2) + " " + _format_regex(r.right, 1)
-        level = 1
-    else:
-        assert isinstance(r, Star)
-        rendered = _format_regex(r.body, 2) + "*"
-        level = 2
-    return f"({rendered})" if level < context else rendered
+    out: list[str] = []
+    # Text to write, or a node and how tightly its context binds: 0 for an
+    # alternative, 1 for a factor, 2 for a body.  Left parts go out at once.
+    todo: list[str | tuple[Regex, int]] = [(r, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, context = item
+        while True:
+            kind = type(node)
+            if kind is Star:
+                todo.append("*")
+                node, context = node.body, 2
+            elif kind is Alt or kind is Cat:
+                level = int(kind is Cat)
+                if level < context:
+                    out.append("(")
+                    todo.append(")")
+                todo += ((node.right, level), "| "[level])
+                node, context = node.left, level + 1
+            else:
+                out.append(_LEAF_TEXT.get(node) or ("\\" if node.char in _METACHARS else "") + node.char)
+                break
+    return "".join(out)
 
 
 def format_tree(t: ParseTree, as_json: bool = False) -> str:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from effparse.core import (
     NONDET_ROW,
     UNIT,
@@ -50,6 +52,24 @@ def regexes_up_to(max_size: int, alphabet: str = "ab", stars: bool = True) -> li
                     layer.append(Cat(left, right))
         by_size[n] = layer
     return [r for n in range(1, max_size + 1) for r in by_size[n]]
+
+
+def regex_nodes(chars: str) -> st.SearchStrategy[Regex]:
+    """Hypothesis-generated regexes over ``chars``, ``\\0`` and ``\\e``."""
+    leaves = st.one_of(
+        st.just(EMPTY),
+        st.just(EPSILON),
+        st.sampled_from([Singleton(c) for c in chars]),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(Star, inner),
+            st.builds(Alt, inner, inner),
+            st.builds(Cat, inner, inner),
+        ),
+        max_leaves=12,
+    )
 
 
 def random_nondet(rng: random.Random, size: int) -> Computation:

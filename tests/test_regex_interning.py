@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from effparse.regex import _INTERNED, EPSILON, Alt, Cat, Singleton, Star
+from effparse.regex import _INTERNED, EPSILON, Alt, Cat, Singleton, Star, dmatch_run, parse_regex
 
 A, B = Singleton("a"), Singleton("b")
 
@@ -43,6 +43,21 @@ def test_dropped_regexes_leave_the_table() -> None:
     gc.collect()
     assert len(_INTERNED) == before
 
+
+
+def test_matched_regexes_leave_the_table_with_their_derivatives() -> None:
+    # Derivatives live in tables on their nodes, and the table holds nodes
+    # weakly, so matching keeps nothing alive once its patterns are dropped.
+    gc.collect()
+    before = len(_INTERNED)
+    chars = [chr(0x4E00 + i) for i in range(200)]
+    patterns = [parse_regex(f"({c}|a)* a ({c}|b)*") for c in chars]
+    for r, c in zip(patterns, chars):
+        assert len(dmatch_run(r, c + "aa" + c + "b")) == 1
+    assert len(_INTERNED) > before + 200
+    del patterns, r
+    gc.collect()
+    assert len(_INTERNED) == before
 
 def test_deep_regexes_hash_and_compare_at_the_default_limit() -> None:
     def right_nested(depth: int) -> Cat:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from effparse.regex import (
     EMPTY,
@@ -25,7 +25,7 @@ from effparse.regex import (
     parse_regex,
 )
 
-from helpers import regexes_up_to
+from helpers import regex_nodes, regexes_up_to
 
 A, B, C = Singleton("a"), Singleton("b"), Singleton("c")
 
@@ -103,23 +103,6 @@ def test_round_trip_over_the_enumerated_universe() -> None:
 def test_round_trip_with_metacharacter_alphabet() -> None:
     for r in regexes_up_to(3, alphabet="a*\\("):
         assert parse_regex(format_regex(r)) == r
-
-
-def regex_nodes(chars: str) -> st.SearchStrategy[Regex]:
-    leaves = st.one_of(
-        st.just(EMPTY),
-        st.just(EPSILON),
-        st.sampled_from([Singleton(c) for c in chars]),
-    )
-    return st.recursive(
-        leaves,
-        lambda inner: st.one_of(
-            st.builds(Star, inner),
-            st.builds(Alt, inner, inner),
-            st.builds(Cat, inner, inner),
-        ),
-        max_leaves=12,
-    )
 
 
 @given(regex_nodes("ab|*()\\"))

@@ -5,19 +5,24 @@ tree printers keep pending nodes on a stack, so how deep a run goes or a
 result nests is bounded by memory, not by the Python stack.  The
 derivative matcher recurses on simplified derivatives, which stay few and
 small, and ``is_match`` recurses once per level of the regex, so neither
-goes deeper as the input grows.  Each test here pins the limit at
-CPython's default for its duration, so a walker that recursed once per
-command, per nested call, per character or per printed node would
-overflow.
+goes deeper as the input grows.  The regex parser keeps open groups on a
+stack, and derivatives, sizes and printed forms of regexes are computed on
+explicit stacks too, so a pattern may nest as deep as memory allows.  Each
+test here pins the limit at CPython's default for its duration, so a
+walker that recursed once per command, per nested call, per character,
+per regex level or per printed node would overflow.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from effparse.cfg import Nonterminal, SemValue, grammar_from_text, parse
 from effparse.cli import main
@@ -35,8 +40,23 @@ from effparse.core import (
     symbol_strict,
 )
 from effparse.handlers import Done, RecursiveFn, run_parser, run_parser_prefix, run_with_fuel
-from effparse.regex import Cat, CharT, ListT, PairT, Singleton, Star, is_match
+from effparse.regex import (
+    Cat,
+    CharT,
+    ListT,
+    PairT,
+    Singleton,
+    Star,
+    derivative,
+    format_regex,
+    is_match,
+    nullable,
+    parse_regex,
+    regex_size,
+)
 from effparse.semantics import results_demonic
+
+from helpers import regex_nodes
 
 S = Nonterminal("S")
 
@@ -171,3 +191,95 @@ def test_cli_cfg_parse_prints_a_derivation_nested_1000_deep(
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == open_node * depth + leaf + close_node * depth + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Deep patterns
+# ---------------------------------------------------------------------------
+
+
+def _cli(capsys, argv: list[str]) -> tuple[int, str, str]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_match_ten_thousand_nested_parentheses(capsys) -> None:
+    assert _cli(capsys, ["match", "(" * N + "a" + ")" * N, "a"]) == (0, "(char a)\n", "")
+
+
+def test_cli_match_a_with_ten_thousand_stars(capsys) -> None:
+    # Each star wraps the witness in one more list.
+    witness = "(list " * N + "(char a) (char a) (char a)" + ")" * N
+    assert _cli(capsys, ["match", "a" + "*" * N, "aaa"]) == (0, witness + "\n", "")
+
+
+DISTINCT = "".join(chr(0x4E00 + i) for i in range(600))
+
+
+@pytest.mark.parametrize(
+    "pattern, text, witness",
+    [
+        ("|".join("a" * N), "a", "(inl (char a))"),
+        ("|".join(DISTINCT), DISTINCT[-1], "(inr " * 599 + f"(char {DISTINCT[-1]})" + ")" * 599),
+    ],
+    ids=["ten_thousand_repeated", "six_hundred_distinct"],
+)
+def test_cli_match_long_alternations(capsys, pattern: str, text: str, witness: str) -> None:
+    assert _cli(capsys, ["match", pattern, text]) == (0, witness + "\n", "")
+
+
+def test_cli_derive_on_a_thousand_characters(capsys) -> None:
+    # The unsimplified derivatives of (a|b)* grow by one alternative a
+    # step, so the output is quadratic in the input; 10^4 would print
+    # about 10^9 characters.
+    text = _balanced(1000)
+    lines = ["(a|b)*"] + [
+        "(\\0|\\0) (a|b)*|" * i + ("(\\e|\\0) (a|b)*" if c == "a" else "(\\0|\\e) (a|b)*")
+        for i, c in enumerate(text)
+    ]
+    expected = "\n".join(lines) + "\nnullable: yes\n"
+    assert _cli(capsys, ["derive", "(a|b)*", text]) == (0, expected, "")
+
+
+def test_a_chain_of_derivatives_of_the_third_last_a_pattern() -> None:
+    # Each unsimplified derivative nests the last one a level deeper, and
+    # rebuilds that much of it, so the chain is quadratic; 600 steps take a
+    # few seconds where 10^4 would take tens of minutes.
+    text = _balanced(600)
+    r = parse_regex("(a|b)* a (a|b)(a|b)")
+    for c in text:
+        r = derivative(r, c)
+    assert regex_size(r) > 10_000
+    assert parse_regex(format_regex(r)) is r
+    assert (nullable(r) is not None) == (text[-3] == "a")
+
+
+def test_cli_structural_match_of_a_concatenation_on_ten_thousand_characters(capsys) -> None:
+    assert _cli(capsys, ["match", "--engine", "structural", "a b", "a" * N]) == (1, "", "")
+
+
+@st.composite
+def deep_patterns(draw: st.DrawFn) -> tuple[str, str]:
+    """A generated regex, printed and put under 1000 to 1300 parentheses
+    (some left open), stars or copies in an alternation."""
+    base = format_regex(draw(regex_nodes("ab")))
+    n = draw(st.integers(1000, 1300))
+    shape = draw(st.sampled_from(["parentheses", "stars", "alternatives"]))
+    if shape == "parentheses":
+        return shape, "(" * n + base + ")" * (n - draw(st.integers(0, 1)))
+    if shape == "stars":
+        return shape, "(" + base + ")" + "*" * n
+    return shape, "|".join([base] * n)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(deep_patterns(), st.text("ab", max_size=6))
+def test_cli_regex_commands_exit_0_to_3_on_deep_patterns(shaped: tuple[str, str], text: str) -> None:
+    shape, pattern = shaped
+    # Under n stars, the printed size of the k-th unsimplified derivative
+    # grows like n to the k, so derive reads one character there.
+    for argv in (["match", pattern, text], ["derive", pattern, text[:1] if shape == "stars" else text]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert isinstance(code, int) and 0 <= code <= 3
