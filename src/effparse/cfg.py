@@ -5,7 +5,9 @@ nonterminal into a computation that nondeterministically picks one of its
 productions and walks the right-hand side, reading terminals with strict
 symbol reads and handing nonterminals to the recursion effect; results are
 :class:`SemValue` derivation nodes recording which production fired and the
-sub-derivations for its nonterminals, in order.
+sub-derivations for its nonterminals, in order.  Nothing of this depends on
+the input, so each nonterminal's computation is built once per grammar,
+from productions grouped by left-hand side, and shared by every expansion.
 
 Left recursion makes naive unfolding diverge, so :func:`chain_bound`
 analyses the grammar's left-recursion links first: grammars whose link
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     Ch,
@@ -177,6 +179,11 @@ class Grammar:
     def nonterminals(self) -> frozenset[Nonterminal]:
         return frozenset(p.lhs for p in self.productions)
 
+    def __getstate__(self) -> dict:
+        # Copies and pickles leave out the parser index (see _index), which
+        # holds closures and is rebuilt on demand.
+        return {"productions": self.productions}
+
 
 @dataclass(frozen=True)
 class SemValue:
@@ -228,40 +235,81 @@ def _sem_value_shape(value: SemValue) -> Shape:
 # ---------------------------------------------------------------------------
 
 
+class _Index:
+    """The input-independent parts of a grammar's parser, built once.
+
+    Productions grouped by left-hand side, and, as they are first asked
+    for, one body per nonterminal and one step per grammar symbol: a
+    strict read of a terminal or a call of a nonterminal.  Computations are
+    immutable and their resumptions pure, so every parse of the grammar can
+    share them.  The index lives on its grammar and is dropped with it.
+    """
+
+    __slots__ = ("by_lhs", "bodies", "steps")
+
+    def __init__(self, g: Grammar) -> None:
+        by_lhs: dict[Nonterminal, list[Production]] = {}
+        for production in g.productions:
+            by_lhs.setdefault(production.lhs, []).append(production)
+        self.by_lhs = {a: tuple(ps) for a, ps in by_lhs.items()}
+        self.bodies: dict[Nonterminal, Computation] = {}
+        self.steps: dict[GSymbol, Computation] = {}
+
+    def step(self, symbol: GSymbol) -> Computation:
+        m = self.steps.get(symbol)
+        if m is None:
+            if isinstance(symbol, Term):
+                m = exact(symbol.char)
+            else:
+                assert isinstance(symbol, NonTerm)
+                m = call(CFG_ROW, Str(symbol.nonterminal.name))
+            self.steps[symbol] = m
+        return m
+
+
+def _index(g: Grammar) -> _Index:
+    index = g.__dict__.get("_index")
+    if index is None:
+        # The grammar is frozen; the index is not one of its fields, so it
+        # takes no part in equality, hashing or its repr.
+        index = g.__dict__["_index"] = _Index(g)
+    return index
+
+
 def filter_lhs(g: Grammar, a: Nonterminal) -> tuple[Production, ...]:
     """The productions for ``a``, in grammar order."""
-    return tuple(p for p in g.productions if p.lhs == a)
+    return _index(g).by_lhs.get(a, ())
 
 
 def exact(c: str, row: EffectRow = CFG_ROW) -> Computation:
     """Consume exactly the character ``c``; any other next character fails."""
-    return bind(
-        symbol_strict(row),
-        lambda response: pure(UNIT) if response == Ch(c) else fail(row),
-    )
+    expected, done, dead = Ch(c), pure(UNIT), fail(row)
+    return bind(symbol_strict(row), lambda response: done if response == expected else dead)
 
 
 def build_parser(
     g: Grammar,
     rhs: tuple[GSymbol, ...],
-    acc: tuple[Value, ...] = (),
+    acc: tuple = (),
+    last: Production | None = None,
 ) -> Computation:
-    """Walk a right-hand side, collecting one child value per nonterminal.
+    """Walk a right-hand side, collecting one child per nonterminal.
 
     Terminals are consumed and contribute nothing; nonterminals go through
-    the recursion effect, whose response is the child's derivation value.
-    Delivers the accumulated children as a list value.
+    the recursion effect.  By default each child is the call's response
+    and the walk delivers the children as a list value.  Given the
+    production ``last`` being walked, each child is the derivation node
+    the response carries, and the walk delivers ``last``'s own node.
     """
     if not rhs:
-        return pure(ListV(acc))
+        if last is None:
+            return pure(ListV(acc))
+        return pure(NodeV(SemValue(last.lhs, last.index, acc)))
     head, rest = rhs[0], rhs[1:]
+    step = _index(g).step(head)
     if isinstance(head, Term):
-        return bind(exact(head.char), lambda _: build_parser(g, rest, acc))
-    assert isinstance(head, NonTerm)
-    return bind(
-        call(CFG_ROW, Str(head.nonterminal.name)),
-        lambda child: build_parser(g, rest, acc + (child,)),
-    )
+        return bind(step, lambda _: build_parser(g, rest, acc, last))
+    return bind(step, lambda child: build_parser(g, rest, acc + (child if last is None else _node_of(child),), last))
 
 
 def _node_of(value: Value) -> SemValue:
@@ -270,21 +318,17 @@ def _node_of(value: Value) -> SemValue:
     return value.node
 
 
-def _from_prod(g: Grammar, production: Production) -> Computation:
-    def deliver(children_value: Value) -> Computation:
-        assert isinstance(children_value, ListV)
-        children = tuple(_node_of(child) for child in children_value.items)
-        return pure(NodeV(SemValue(production.lhs, production.index, children)))
-
-    return bind(build_parser(g, production.rhs, ()), deliver)
-
-
 def from_prods(g: Grammar, a: Nonterminal) -> Computation:
     """Parse ``a``: choose one of its productions and walk it.
 
-    A nonterminal with no productions parses nothing.
+    A nonterminal with no productions parses nothing.  The computation is
+    built on the first call for ``a`` and shared by every later one.
     """
-    return choices([_from_prod(g, p) for p in filter_lhs(g, a)], CFG_ROW)
+    index = _index(g)
+    body = index.bodies.get(a)
+    if body is None:
+        body = index.bodies[a] = choices([build_parser(g, p.rhs, (), p) for p in filter_lhs(g, a)], CFG_ROW)
+    return body
 
 
 def from_prods_fn(g: Grammar) -> RecursiveFn:
@@ -369,14 +413,12 @@ def left_rec_links(g: Grammar) -> tuple[tuple[Nonterminal, Nonterminal, int], ..
     maximal leading run gets a link from the production's left-hand side,
     witnessed by the production's index.  Duplicate triples are dropped.
     """
-    links: list[tuple[Nonterminal, Nonterminal, int]] = []
+    links: dict[tuple[Nonterminal, Nonterminal, int], None] = {}
     for production in g.productions:
         for symbol in production.rhs:
             if not isinstance(symbol, NonTerm):
                 break
-            link = (production.lhs, symbol.nonterminal, production.index)
-            if link not in links:
-                links.append(link)
+            links[(production.lhs, symbol.nonterminal, production.index)] = None
     return tuple(links)
 
 
@@ -391,35 +433,42 @@ def chain_bound(g: Grammar) -> ChainReport:
     for source, target, _ in links:
         successors.setdefault(source, []).append(target)
 
-    # Depth-first search with an explicit color map: find a cycle if any,
-    # otherwise the longest path from each node.
-    visiting: list[Nonterminal] = []
+    # Depth-first search with an explicit color map, and the open nodes on
+    # a stack beside their remaining successors: find a cycle if any,
+    # otherwise the longest path from each node (a running best while the
+    # node is open).
     state: dict[Nonterminal, str] = {}
     longest: dict[Nonterminal, int] = {}
+    visiting: list[Nonterminal] = []
+    pending: list[Iterator[Nonterminal]] = []
 
-    def explore(node: Nonterminal) -> tuple[Nonterminal, ...] | None:
-        state[node] = "visiting"
+    def open_node(node: Nonterminal) -> None:
+        state[node], longest[node] = "visiting", 0
         visiting.append(node)
-        best = 0
-        for target in successors.get(node, ()):
-            if state.get(target) == "visiting":
-                start = visiting.index(target)
-                return tuple(visiting[start:]) + (target,)
-            if state.get(target) != "done":
-                cycle = explore(target)
-                if cycle is not None:
-                    return cycle
-            best = max(best, 1 + longest[target])
-        visiting.pop()
-        state[node] = "done"
-        longest[node] = best
-        return None
+        pending.append(iter(successors.get(node, ())))
 
-    for node in sorted({source for source, _, _ in links}, key=lambda nt: nt.name):
-        if state.get(node) != "done":
-            cycle = explore(node)
-            if cycle is not None:
-                return ChainReport(links, None, True, cycle)
+    def extend(node: Nonterminal, target: Nonterminal) -> None:
+        longest[node] = max(longest[node], 1 + longest[target])
+
+    for root in sorted({source for source, _, _ in links}, key=lambda nt: nt.name):
+        if state.get(root) == "done":
+            continue
+        open_node(root)
+        while pending:
+            for target in pending[-1]:
+                if state.get(target) == "visiting":
+                    cycle = tuple(visiting[visiting.index(target):]) + (target,)
+                    return ChainReport(links, None, True, cycle)
+                if state.get(target) != "done":
+                    open_node(target)
+                    break
+                extend(visiting[-1], target)
+            else:
+                pending.pop()
+                node = visiting.pop()
+                state[node] = "done"
+                if visiting:
+                    extend(visiting[-1], node)
     bound = 1 + max(longest.values(), default=0)
     return ChainReport(links, bound, False)
 

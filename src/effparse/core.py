@@ -4,7 +4,9 @@ A ``Computation`` is a tree: ``Pure`` leaves carry a result value, ``Op``
 nodes record one issued effect command together with a resumption that maps
 each possible response to the rest of the computation.  Nothing here runs
 anything — interpretation is the business of the semantics and handler
-modules, which fold over these trees.
+modules, which fold over these trees.  Trees are immutable and resumptions
+pure, so one tree may be shared by many runs; ``bind`` grafts onto one in
+constant time by queueing its continuation on the resumption.
 
 Effects are identified by :class:`EffectId` and grouped into an ordered
 :class:`EffectRow`; every ``Op`` node names its effect by position in the
@@ -274,7 +276,7 @@ class Op(Computation):
     resume: Callable[[Value], Computation]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.index < len(self.row):
+        if not 0 <= self.index < len(self.row.effects):
             raise RowError(f"index {self.index} out of range for row {self.row.effects}")
         if self.row.effects[self.index] is not self.command.effect:
             raise RowError(
@@ -294,17 +296,70 @@ def pure(value: Value) -> Pure:
 
 
 def bind(m: Computation, k: Callable[[Value], Computation]) -> Computation:
-    """Sequence ``m`` with ``k``, grafting ``k`` onto every ``Pure`` leaf."""
+    """Sequence ``m`` with ``k``, grafting ``k`` onto every ``Pure`` leaf.
+
+    Takes constant time: on an ``Op`` it appends ``k`` to the continuation
+    queue its resumption carries instead of wrapping the resumption in a
+    closure that binds again at every step (the continuation queue of van
+    der Ploeg & Kiselyov, "Reflection without Remorse", Haskell 2014).  So
+    however deeply ``bind`` and ``fmap`` nest, resuming runs their
+    continuations in one loop rather than one Python frame per level.
+    """
     if isinstance(m, Pure):
         return k(m.value)
-    assert isinstance(m, Op)
-    resume = m.resume
-    return Op(m.row, m.index, m.command, lambda response: bind(resume(response), k))
+    return _graft(m, k)
 
 
 def fmap(g: Callable[[Value], Value], m: Computation) -> Computation:
     """Apply ``g`` to the eventual result of ``m``."""
     return bind(m, lambda value: Pure(g(value)))
+
+
+#: A continuation queue: one continuation, or a pair of queues to run left
+#: then right.  Appending and joining make a pair, so both take constant
+#: time; running pops the leftmost continuation off the left spine.
+_Queue = "Callable[[Value], Computation] | tuple[_Queue, _Queue]"
+
+
+class _Queued:
+    """A resumption followed by a queue of continuations to run on its result."""
+
+    __slots__ = ("first", "queue")
+
+    def __init__(self, first: Callable[[Value], Computation], queue: _Queue) -> None:
+        self.first = first
+        self.queue = queue
+
+    def __call__(self, response: Value) -> Computation:
+        m = self.first(response)
+        queue = self.queue
+        while isinstance(m, Pure):
+            # Pop the leftmost continuation, keeping the rest right-nested,
+            # so each pair of the queue is taken apart once.
+            k, rest = queue, None
+            while type(k) is tuple:
+                k, right = k
+                rest = right if rest is None else (right, rest)
+            m = k(m.value)
+            if rest is None:
+                return m
+            queue = rest
+        return _graft(m, queue)
+
+
+def _graft(m: Op, queue: _Queue) -> Computation:
+    """``m`` with ``queue`` run on each of its results."""
+    command = m.command
+    if command.kind is CommandKind.FAIL:
+        return m
+    resume = m.resume
+    if type(resume) is _Queued:
+        resume = _Queued(resume.first, (resume.queue, queue))
+    elif resume is Pure and type(queue) is not tuple:
+        resume = queue
+    else:
+        resume = _Queued(resume, queue)
+    return Op(m.row, m.index, command, resume)
 
 
 def _op(row: EffectRow, effect: EffectId, kind: CommandKind, resume: Callable[[Value], Computation], payload: Value = UNIT) -> Op:

@@ -54,12 +54,13 @@ from .core import (
     RegexV,
     SplitV,
     Str,
+    TRUE,
+    FALSE,
     TreeV,
     Value,
     bind,
     call,
     choice,
-    choices,
     fail,
     fmap,
     pure,
@@ -519,9 +520,26 @@ def all_splits(xs: str, row: EffectRow = NONDET_ROW) -> Computation:
     """Nondeterministically split ``xs`` into a prefix and a suffix.
 
     Results are ``SplitV`` values, shortest prefix first; a string of
-    length n splits n+1 ways.
+    length n splits n+1 ways.  Each split is made when its branch is
+    reached, so a run holds one at a time rather than all n+1 at once.
     """
-    return choices([pure(SplitV(xs[:i], xs[i:])) for i in range(len(xs) + 1)], row)
+
+    def splits_from(i: int) -> Computation:
+        if i == len(xs):
+            return pure(SplitV(xs, ""))
+        return _either(row, lambda: pure(SplitV(xs[:i], xs[i:])), lambda: splits_from(i + 1))
+
+    return splits_from(0)
+
+
+def _either(row: EffectRow, left: Callable[[], Computation], right: Callable[[], Computation]) -> Computation:
+    """A choice whose branches are built only when they are resumed.
+
+    So a chain of choices unfolds one link at a time: the structural
+    matcher holds one split of the input at a time, and meets the
+    alternatives of a long chain one by one.
+    """
+    return bind(choice(pure(TRUE), pure(FALSE), row), lambda b: left() if b == TRUE else right())
 
 
 def match_input(r: Regex, xs: str) -> PairV:
@@ -566,9 +584,11 @@ def match_structural(r: Regex, xs: str) -> Computation:
     if isinstance(r, Singleton):
         return pure(TreeV(CharT(r.char))) if xs == r.char else fail(row)
     if isinstance(r, Alt):
-        left = fmap(lambda tv: TreeV(LeftT(_tree_of(tv))), match_structural(r.left, xs))
-        right = fmap(lambda tv: TreeV(RightT(_tree_of(tv))), match_structural(r.right, xs))
-        return choice(left, right, row)
+        return _either(
+            row,
+            lambda: fmap(lambda tv: TreeV(LeftT(_tree_of(tv))), match_structural(r.left, xs)),
+            lambda: fmap(lambda tv: TreeV(RightT(_tree_of(tv))), match_structural(r.right, xs)),
+        )
     if isinstance(r, Cat):
         return bind(
             all_splits(xs, row),

@@ -7,23 +7,28 @@ and :func:`wp` folds a row over a computation to compute the weakest
 precondition of a postcondition.  Propositions are plain booleans — every
 check here is decidable at the scales this library targets.
 
-All transformers share one calling convention: ``transform(command, post,
-state)`` where ``post(response, state')`` judges a response together with
-the parser state after it.  Transformers for stateless effects simply pass
-``state`` through unchanged, which lets plain and stateful rows mix.
+Each transformer lists the branches of a command, every possible response
+with the parser state after it, and says whether the postcondition must
+hold on all of them (demonic) or on one (angelic); its ``transform(command,
+post, state)`` follows from those, where ``post(response, state')`` judges a
+response together with the parser state after it.  Transformers for
+stateless effects simply pass ``state`` through unchanged, which lets plain
+and stateful rows mix.
 
 :func:`results_demonic` enumerates every reachable leaf of a computation in
 a fixed order; for all-results rows ``wp`` is equivalent to quantifying over
 that enumeration, which is what makes refinement executable
 (:func:`refines_all`, :func:`refines_any`).  It runs on the one iterative
-interpreter, ``_drive``, that the handlers and the grammar checks share;
-``wp`` stays a direct recursive fold, the reference reading of the paper.
+interpreter, ``_drive``, that the handlers and the grammar checks share.
+``wp`` evaluates the and/or tree of branches on an explicit stack of its
+own, short-circuiting as ``all``/``any`` do, so neither recurses once per
+command on the Python stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     UNIT,
@@ -78,17 +83,29 @@ class MissingInvariantError(ValueError):
 StatefulPost = Callable[[Value, "str | None"], bool]
 
 
+#: The ways on from one command: each response with the parser state after it.
+Branches = Sequence[tuple[Value, "str | None"]]
+
+
 @dataclass(frozen=True)
 class PredicateTransformer:
     """Meaning of one effect's commands as a weakest-precondition rule.
 
-    ``transform(command, post, state)`` must be monotone in ``post``: if
-    ``post`` implies ``post2`` pointwise, the transformed propositions
-    must imply likewise.  Every transformer shipped here is.
+    ``branches(command, state)`` lists the responses the command may get,
+    each with the parser state after it, and ``demonic`` says how they are
+    quantified: the postcondition must hold on every branch (``True``) or
+    on some branch (``False``).  :meth:`transform` is the rule this gives;
+    it is monotone in ``post`` by construction.
     """
 
     effect: EffectId
-    transform: Callable[[Command, StatefulPost, "str | None"], bool]
+    demonic: bool
+    branches: Callable[[Command, "str | None"], Branches]
+
+    def transform(self, command: Command, post: StatefulPost, state: str | None) -> bool:
+        """Does ``post`` hold on every (or some) branch of ``command``?"""
+        verdicts = (post(response, after) for response, after in self.branches(command, state))
+        return all(verdicts) if self.demonic else any(verdicts)
 
 
 @dataclass(frozen=True)
@@ -137,30 +154,22 @@ class Invariant:
 # ---------------------------------------------------------------------------
 
 
+def _choose(name: str, command: Command, state: str | None) -> Branches:
+    if command.kind is CommandKind.FAIL:
+        return ()
+    if command.kind is CommandKind.CHOICE:
+        return ((TRUE, state), (FALSE, state))
+    raise RowError(f"{name} cannot interpret {command.kind.value}")
+
+
 def pt_all() -> PredicateTransformer:
     """Demonic nondeterminism: the postcondition must hold on every branch."""
-
-    def transform(command: Command, post: StatefulPost, state: str | None) -> bool:
-        if command.kind is CommandKind.FAIL:
-            return True
-        if command.kind is CommandKind.CHOICE:
-            return post(TRUE, state) and post(FALSE, state)
-        raise RowError(f"pt_all cannot interpret {command.kind.value}")
-
-    return PredicateTransformer(EffectId.NONDET, transform)
+    return PredicateTransformer(EffectId.NONDET, True, lambda command, state: _choose("pt_all", command, state))
 
 
 def pt_any() -> PredicateTransformer:
     """Angelic nondeterminism: some branch must satisfy the postcondition."""
-
-    def transform(command: Command, post: StatefulPost, state: str | None) -> bool:
-        if command.kind is CommandKind.FAIL:
-            return False
-        if command.kind is CommandKind.CHOICE:
-            return post(TRUE, state) or post(FALSE, state)
-        raise RowError(f"pt_any cannot interpret {command.kind.value}")
-
-    return PredicateTransformer(EffectId.NONDET, transform)
+    return PredicateTransformer(EffectId.NONDET, False, lambda command, state: _choose("pt_any", command, state))
 
 
 def pt_rec(inv: Invariant) -> PredicateTransformer:
@@ -171,27 +180,30 @@ def pt_rec(inv: Invariant) -> PredicateTransformer:
     relation is empty at ``i``.
     """
 
-    def transform(command: Command, post: StatefulPost, state: str | None) -> bool:
+    def branches(command: Command, state: str | None) -> Branches:
         if command.kind is not CommandKind.CALL:
             raise RowError(f"pt_rec cannot interpret {command.kind.value}")
-        return all(post(output, state) for output in inv.outputs_for(command.payload))
+        return [(output, state) for output in inv.outputs_for(command.payload)]
 
-    return PredicateTransformer(EffectId.REC, transform)
+    return PredicateTransformer(EffectId.REC, True, branches)
+
+
+def _read(name: str, command: Command, state: str | None) -> str:
+    if command.kind is not CommandKind.SYMBOL:
+        raise RowError(f"{name} cannot interpret {command.kind.value}")
+    if state is None:
+        raise ValueError("symbol read without a parser state")
+    return state
 
 
 def pt_parse_strict() -> PredicateTransformer:
     """Strict symbol reads: exhausted input is a dead end (vacuously fine)."""
 
-    def transform(command: Command, post: StatefulPost, state: str | None) -> bool:
-        if command.kind is not CommandKind.SYMBOL:
-            raise RowError(f"pt_parse_strict cannot interpret {command.kind.value}")
-        if state is None:
-            raise ValueError("symbol read without a parser state")
-        if state == "":
-            return True
-        return post(Ch(state[0]), state[1:])
+    def branches(command: Command, state: str | None) -> Branches:
+        text = _read("pt_parse_strict", command, state)
+        return ((Ch(text[0]), text[1:]),) if text else ()
 
-    return PredicateTransformer(EffectId.PARSER_STRICT, transform)
+    return PredicateTransformer(EffectId.PARSER_STRICT, True, branches)
 
 
 def pt_parser_maybe() -> PredicateTransformer:
@@ -201,16 +213,11 @@ def pt_parser_maybe() -> PredicateTransformer:
     means "no character", ``Ch(c)`` means "the character c".
     """
 
-    def transform(command: Command, post: StatefulPost, state: str | None) -> bool:
-        if command.kind is not CommandKind.SYMBOL:
-            raise RowError(f"pt_parser_maybe cannot interpret {command.kind.value}")
-        if state is None:
-            raise ValueError("symbol read without a parser state")
-        if state == "":
-            return post(UNIT, "")
-        return post(Ch(state[0]), state[1:])
+    def branches(command: Command, state: str | None) -> Branches:
+        text = _read("pt_parser_maybe", command, state)
+        return ((Ch(text[0]), text[1:]),) if text else ((UNIT, ""),)
 
-    return PredicateTransformer(EffectId.PARSER_MAYBE, transform)
+    return PredicateTransformer(EffectId.PARSER_MAYBE, True, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +241,39 @@ def _transformer_for(row: SemanticsRow, op: Op) -> PredicateTransformer:
 
 
 def _wp(row: SemanticsRow, m: Computation, post: StatefulPost, state: str | None) -> bool:
-    if isinstance(m, Pure):
-        return post(m.value, state)
-    assert isinstance(m, Op)
-    pt = _transformer_for(row, m)
-    resume = m.resume
-    return pt.transform(
-        m.command,
-        lambda response, next_state: _wp(row, resume(response), post, next_state),
-        state,
-    )
+    """Evaluate the and/or tree of ``m``'s branches on an explicit stack.
+
+    Each op is a node quantified as its transformer says; its children,
+    the resumption at each branch, are built one at a time, left to right,
+    and the first one that settles the node (false under all, true under
+    any) cuts the rest off, exactly as ``all``/``any`` over the recursive
+    fold would.  So depth is bounded by memory, not the Python stack.
+    """
+    # One frame per open op: its quantifier, its resumption, its branches left.
+    stack: list[tuple[bool, Callable[[Value], Computation], Iterator]] = []
+    while True:
+        if isinstance(m, Pure):
+            verdict = bool(post(m.value, state))
+        else:
+            assert isinstance(m, Op)
+            pt = _transformer_for(row, m)
+            stack.append((pt.demonic, m.resume, iter(pt.branches(m.command, state))))
+            # Until a branch says otherwise, an op holds exactly when it is
+            # demonic, as all(()) and any(()) do.
+            verdict = pt.demonic
+        # Hand the verdict up to the nearest op it does not settle, and
+        # resume that op at its next branch.
+        while stack:
+            demonic, resume, pending = stack[-1]
+            if verdict == demonic:
+                branch = next(pending, None)
+                if branch is not None:
+                    response, state = branch
+                    m = resume(response)
+                    break
+            stack.pop()
+        else:
+            return verdict
 
 
 def wp(row: SemanticsRow, m: Computation, post: Callable[[Value], bool]) -> bool:

@@ -7,13 +7,51 @@ one, kept here so the differential tests can hold the two side by side:
   every split of the string for a concatenation or an iteration head;
 * :func:`enumerate_matches` tries every split point and every head length;
 * :func:`dmatch_unsimplified` walks the paper's unsimplified derivatives
-  and integrates the end-of-input witness back through every one of them.
+  and integrates the end-of-input witness back through every one of them;
+* :func:`from_prods` and :func:`build_parser` rebuild a nonterminal's
+  parser on every call, binding one strict read per terminal and
+  delivering the children as a list that a last ``bind`` turns into the
+  derivation node;
+* :func:`wp` folds a semantics row over a computation by recursion, one
+  Python frame per command along a path;
+* :func:`chain_bound` searches the left-recursion links by recursion, one
+  Python frame per link of a chain.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from effparse.cfg import (
+    CFG_ROW,
+    ChainReport,
+    Grammar,
+    GSymbol,
+    NonTerm,
+    Nonterminal,
+    Production,
+    SemValue,
+    Term,
+    left_rec_links,
+)
+from effparse.core import (
+    UNIT,
+    Ch,
+    Computation,
+    ListV,
+    NodeV,
+    Op,
+    Pure,
+    Str,
+    Value,
+    bind,
+    call,
+    choices,
+    fail,
+    pure,
+    symbol_strict,
+)
+from effparse.handlers import RecursiveFn
 from effparse.regex import (
     Alt,
     Cat,
@@ -34,6 +72,7 @@ from effparse.regex import (
     integral_tree,
     nullable,
 )
+from effparse.semantics import SemanticsRow, StatefulPost, _transformer_for
 
 
 def is_match(r: Regex, s: str, t: ParseTree) -> bool:
@@ -124,3 +163,87 @@ def dmatch_unsimplified(r: Regex, s: str) -> tuple[ParseTree, ...]:
     for d, c in zip(reversed(chain[:-1]), reversed(s)):
         witness = integral_tree(d, c, witness)
     return (witness,)
+
+
+def exact(c: str) -> Computation:
+    """Consume exactly ``c``, built afresh on every call."""
+    return bind(symbol_strict(CFG_ROW), lambda response: pure(UNIT) if response == Ch(c) else fail(CFG_ROW))
+
+
+def build_parser(g: Grammar, rhs: tuple[GSymbol, ...], acc: tuple[Value, ...] = ()) -> Computation:
+    """Walk a right-hand side, delivering the calls' responses as a list."""
+    if not rhs:
+        return pure(ListV(acc))
+    head, rest = rhs[0], rhs[1:]
+    if isinstance(head, Term):
+        return bind(exact(head.char), lambda _: build_parser(g, rest, acc))
+    assert isinstance(head, NonTerm)
+    return bind(call(CFG_ROW, Str(head.nonterminal.name)), lambda child: build_parser(g, rest, acc + (child,)))
+
+
+def _from_prod(g: Grammar, production: Production) -> Computation:
+    def deliver(children_value: Value) -> Computation:
+        assert isinstance(children_value, ListV)
+        children = tuple(child.node for child in children_value.items)  # type: ignore[attr-defined]
+        return pure(NodeV(SemValue(production.lhs, production.index, children)))
+
+    return bind(build_parser(g, production.rhs, ()), deliver)
+
+
+def from_prods(g: Grammar, a: Nonterminal) -> Computation:
+    """Parse ``a``, scanning the grammar for its productions on every call."""
+    return choices([_from_prod(g, p) for p in g.productions if p.lhs == a], CFG_ROW)
+
+
+def from_prods_fn(g: Grammar) -> RecursiveFn:
+    return RecursiveFn(CFG_ROW, lambda value: from_prods(g, Nonterminal(value.text)))  # type: ignore[attr-defined]
+
+
+def wp(row: SemanticsRow, m: Computation, post: StatefulPost, state: str | None) -> bool:
+    """The weakest precondition as the recursive fold over ``m``."""
+    if isinstance(m, Pure):
+        return post(m.value, state)
+    assert isinstance(m, Op)
+    pt = _transformer_for(row, m)
+    resume = m.resume
+    return pt.transform(
+        m.command,
+        lambda response, next_state: wp(row, resume(response), post, next_state),
+        state,
+    )
+
+
+def chain_bound(g: Grammar) -> ChainReport:
+    """The left-recursion analysis as a recursive depth-first search."""
+    links = left_rec_links(g)
+    successors: dict[Nonterminal, list[Nonterminal]] = {}
+    for source, target, _ in links:
+        successors.setdefault(source, []).append(target)
+    visiting: list[Nonterminal] = []
+    state: dict[Nonterminal, str] = {}
+    longest: dict[Nonterminal, int] = {}
+
+    def explore(node: Nonterminal) -> tuple[Nonterminal, ...] | None:
+        state[node] = "visiting"
+        visiting.append(node)
+        best = 0
+        for target in successors.get(node, ()):
+            if state.get(target) == "visiting":
+                start = visiting.index(target)
+                return tuple(visiting[start:]) + (target,)
+            if state.get(target) != "done":
+                cycle = explore(target)
+                if cycle is not None:
+                    return cycle
+            best = max(best, 1 + longest[target])
+        visiting.pop()
+        state[node] = "done"
+        longest[node] = best
+        return None
+
+    for node in sorted({source for source, _, _ in links}, key=lambda nt: nt.name):
+        if state.get(node) != "done":
+            cycle = explore(node)
+            if cycle is not None:
+                return ChainReport(links, None, True, cycle)
+    return ChainReport(links, 1 + max(longest.values(), default=0), False)

@@ -19,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["regex-deriv", "verify"])
+@pytest.mark.parametrize("workload", ["regex-deriv", "cfg-parse", "verify"])
 def test_bench_base_rounds_are_correct(workload: str) -> None:
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0"]
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=600)

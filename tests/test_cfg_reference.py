@@ -1,0 +1,186 @@
+"""The grammar parser against its reference, and the per-grammar index.
+
+The parser builds each nonterminal's body once per grammar and walks a
+right-hand side in one pass that delivers the derivation node itself.  The
+reference in ``reference.py`` rebuilds every body on every call and goes
+through a list value and a last ``bind``.  The two must give the same
+results in the same order through every runner: ``parse``,
+``run_with_fuel`` at any fuel, and the unfolding behind
+``expanded_parser``.
+"""
+
+from __future__ import annotations
+
+import copy
+import gc
+import pickle
+import random
+import weakref
+
+import pytest
+
+from effparse.cfg import (
+    Grammar,
+    NonTerm,
+    Nonterminal,
+    Production,
+    Term,
+    chain_bound,
+    expanded_parser,
+    from_prods,
+    from_prods_fn,
+    grammar_from_text,
+    parse,
+    parse_fuel,
+)
+from effparse import cfg
+from effparse.core import PARSER_ROW, Str, fail
+from effparse.handlers import Done, TerminationInvariantError, _unfold, run_parser_prefix, run_with_fuel
+from effparse.semantics import PARSER_SEMANTICS, in_language
+
+import reference
+from helpers import ACYCLIC_FAMILY, strings_up_to
+
+#: The grammars the benchmark's cfg-parse workload runs, with a start
+#: symbol and the alphabet of their terminals.
+BENCH_GRAMMARS = {
+    "right_rec": ("S -> 'a' S | 'a'\n", "S", "ab"),
+    "dyck": ("S -> '(' S ')' S |\n", "S", "()"),
+    "expression": ("E -> T R\nR -> '+' T R |\nT -> F\nF -> 'x' | '(' E ')'\n", "E", "x+()"),
+    "palindrome": ("P -> 'a' P 'a' | 'b' P 'b' | 'a' | 'b' |\n", "P", "ab"),
+}
+
+
+def random_acyclic_grammar(rng: random.Random) -> tuple[Grammar, Nonterminal]:
+    """Up to three nonterminals, each with one to three productions.
+
+    A nonterminal in a right-hand side's leading run only names a later
+    nonterminal, so the left-recursion links cannot form a cycle; after a
+    terminal, any nonterminal may appear.
+    """
+    names = [Nonterminal(f"N{i}") for i in range(rng.randint(1, 3))]
+    productions: list[Production] = []
+    for i, lhs in enumerate(names):
+        for _ in range(rng.randint(1, 3)):
+            rhs: list = []
+            leading = True
+            for _ in range(rng.randint(0, 3)):
+                later = names[i + 1 :] if leading else names
+                if later and rng.random() < 0.4:
+                    rhs.append(NonTerm(rng.choice(later)))
+                else:
+                    rhs.append(Term(rng.choice("ab")))
+                    leading = False
+            productions.append(Production(lhs, tuple(rhs), len(productions)))
+    return Grammar(tuple(productions)), names[0]
+
+
+def _cases() -> list[tuple[str, Grammar, Nonterminal, list[str]]]:
+    cases = []
+    for name, (text, start, alphabet) in BENCH_GRAMMARS.items():
+        texts = strings_up_to(4 if len(alphabet) > 2 else 6, alphabet)
+        cases.append((name, grammar_from_text(text), Nonterminal(start), texts))
+    for text, start, alphabet in ACYCLIC_FAMILY:
+        cases.append((text, grammar_from_text(text), Nonterminal(start), strings_up_to(4, alphabet)))
+    rng = random.Random(20)
+    for n in range(40):
+        g, start = random_acyclic_grammar(rng)
+        cases.append((f"random{n}", g, start, strings_up_to(4, "ab")))
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name, g, start, texts", CASES, ids=[case[0] for case in CASES])
+def test_parser_agrees_with_the_reference_in_order(name: str, g: Grammar, start: Nonterminal, texts: list[str]) -> None:
+    bound = chain_bound(g).bound
+    assert bound is not None
+    new_fn, old_fn = from_prods_fn(g), reference.from_prods_fn(g)
+    for text in texts:
+        fuel = parse_fuel(len(text), bound)
+        old = run_with_fuel(old_fn, Str(start.name), fuel, state0=text)
+        if isinstance(old, Done):
+            assert parse(g, start, text) == tuple((value.node, rest) for value, rest in old.results)
+        else:
+            # The budget falls short where a right-hand side calls nullable
+            # nonterminals one after another at one input position; both
+            # parsers run dry there alike.
+            with pytest.raises(TerminationInvariantError):
+                parse(g, start, text)
+        # Short budgets too, where some paths run dry.
+        for short in range(min(fuel, 3)):
+            assert run_with_fuel(new_fn, Str(start.name), short, state0=text) == run_with_fuel(
+                old_fn, Str(start.name), short, state0=text
+            )
+        expanded = expanded_parser(g, start, fuel)
+        old_expanded = _unfold(old_fn, reference.from_prods(g, start), fuel, fail(PARSER_ROW))
+        assert run_parser_prefix(expanded, text) == run_parser_prefix(old_expanded, text)
+        accepted = reference.wp(PARSER_SEMANTICS, old_expanded, lambda _value, state: state == "", text)
+        assert in_language(expanded, text) == accepted
+
+
+@pytest.mark.parametrize("name", list(BENCH_GRAMMARS))
+def test_each_expansion_asks_for_its_body_once(name: str, monkeypatch: pytest.MonkeyPatch) -> None:
+    text, start, alphabet = BENCH_GRAMMARS[name]
+    g = grammar_from_text(text)
+    asked = {"new": 0, "old": 0}
+
+    def counted(key, function):
+        def wrapper(*args):
+            asked[key] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cfg, "from_prods", counted("new", cfg.from_prods))
+    monkeypatch.setattr(reference, "from_prods", counted("old", reference.from_prods))
+    sample = (alphabet * 3)[:5]
+    fuel = parse_fuel(len(sample), chain_bound(g).bound)
+    new = run_with_fuel(from_prods_fn(g), Str(start), fuel, state0=sample)
+    old = run_with_fuel(reference.from_prods_fn(g), Str(start), fuel, state0=sample)
+    assert new == old
+    assert asked["new"] == asked["old"] > 1
+
+
+def test_a_body_is_built_once_per_grammar_and_dies_with_it() -> None:
+    text = BENCH_GRAMMARS["expression"][0]
+    g = grammar_from_text(text)
+    E = Nonterminal("E")
+    body = from_prods(g, E)
+    assert from_prods(g, E) is body
+    assert from_prods_fn(g).body(Str("E")) is body
+    parse(g, E, "(x+x)+x")
+    assert from_prods(g, E) is body
+    # An equal grammar is another object and builds its own bodies.
+    twin = grammar_from_text(text)
+    assert twin == g and hash(twin) == hash(g)
+    assert from_prods(twin, E) is not body
+    # Copies and pickles carry the productions, not the index.
+    for other in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert other == g and "_index" not in other.__dict__
+        assert parse(other, E, "x+x") == parse(g, E, "x+x")
+    gone = weakref.ref(body)
+    del g, body
+    gc.collect()
+    assert gone() is None
+
+
+def test_chain_bound_agrees_with_the_recursive_search() -> None:
+    rng = random.Random(21)
+    cyclic = set()
+    for _ in range(300):
+        names = [Nonterminal(f"N{i}") for i in range(rng.randint(1, 6))]
+        productions = []
+        for lhs in names:
+            for _ in range(rng.randint(1, 3)):
+                rhs = tuple(
+                    NonTerm(rng.choice(names)) if rng.random() < 0.5 else Term("a")
+                    for _ in range(rng.randint(0, 3))
+                )
+                productions.append(Production(lhs, rhs, len(productions)))
+        g = Grammar(tuple(productions))
+        report = chain_bound(g)
+        assert report == reference.chain_bound(g)
+        cyclic.add(report.cyclic)
+    assert cyclic == {True, False}

@@ -203,6 +203,41 @@ def test_bind_grafts_lazily_under_ops() -> None:
     assert calls == ["hit"]
 
 
+def test_queued_continuations_run_in_bind_order() -> None:
+    """Each step appends its tag, so a result spells the order steps ran in.
+
+    Steps are appended to one queue (``bind`` on a bound op), run a queue of
+    their own from inside another (a continuation returning a bound op),
+    or nest a whole chain inside a continuation.
+    """
+
+    def tagged(tag: str):
+        return lambda v: Str(v.text + tag)
+
+    def chain(v, n: int, tag: str):
+        if n == 0:
+            return pure(v)
+        return fmap(tagged(tag), bind(choice(pure(v), fail()), lambda w: chain(w, n - 1, tag)))
+
+    rng = random.Random(41)
+    for _ in range(60):
+        m = choice(pure(Str("")), pure(Str("-")))
+        expected = ""
+        for i in range(rng.randrange(1, 40)):
+            tag, kind = "abcdefghij"[i % 10], rng.randrange(3)
+            if kind == 0:
+                m = fmap(tagged(tag), m)
+                expected += tag
+            elif kind == 1:
+                m = bind(m, lambda v, tag=tag: fmap(tagged(tag), fmap(tagged("."), choice(pure(v), fail()))))
+                expected += "." + tag
+            else:
+                depth = rng.randrange(1, 5)
+                m = bind(m, lambda v, n=depth, tag=tag: chain(v, n, tag))
+                expected += tag * depth
+        assert observed(m) == ((Str(expected), None), (Str("-" + expected), None))
+
+
 @given(st.lists(st.sampled_from("ab"), max_size=6))
 def test_choices_results_mirror_the_branch_list(chars: list[str]) -> None:
     m = choices([pure(Ch(c)) for c in chars])

@@ -14,6 +14,8 @@ from effparse.core import (
     Computation,
     EffectId,
     EffectRow,
+    FALSE,
+    TRUE,
     RowError,
     Str,
     Value,
@@ -48,6 +50,7 @@ from effparse.semantics import (
     wp_stateful,
 )
 
+import reference
 from helpers import CONTINUATIONS, random_nondet
 
 ALL = SemanticsRow((pt_all(),))
@@ -156,6 +159,94 @@ def test_wp_characterizes_result_quantifiers() -> None:
         values = [v for v, _ in results_demonic(m)]
         assert wp(ALL, m, post) == all(post(v) for v in values)
         assert wp(ANY, m, post) == any(post(v) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# The explicit-stack wp against the recursive fold
+# ---------------------------------------------------------------------------
+
+
+def random_reader(rng: random.Random, size: int, row: EffectRow) -> Computation:
+    """A random computation over choices, failures, reads and calls of ``row``."""
+    if size <= 1:
+        roll = rng.randrange(3)
+        if roll == 0:
+            return fail(row)
+        return pure(Ch(rng.choice("ab")) if roll == 1 else UNIT)
+    left_size = rng.randrange(1, size)
+    left, right = random_reader(rng, left_size, row), random_reader(rng, size - left_size, row)
+    steps = ["choice"]
+    if EffectId.REC in row:
+        steps.append("call")
+    if EffectId.PARSER_STRICT in row or EffectId.PARSER_MAYBE in row:
+        steps.append("read")
+    step = rng.choice(steps)
+    if step == "choice":
+        return choice(left, right, row)
+    if step == "call":
+        first = call(row, Str(rng.choice("fg")))
+    else:
+        first = symbol_strict(row) if EffectId.PARSER_STRICT in row else symbol_maybe(row)
+    return bind(first, lambda v: left if v == Ch("a") else right)
+
+
+def _recorded(post):
+    """``post``, and the list of (value, state) it was asked about, in order."""
+    asked: list = []
+
+    def recording(value, state):
+        asked.append((value, state))
+        return post(value, state)
+
+    return recording, asked
+
+
+STATEFUL_POSTS = (
+    lambda _v, state: state == "",
+    lambda v, state: isinstance(v, Ch) or state.startswith("a"),
+    lambda v, _state: v == UNIT,
+)
+
+
+def test_wp_agrees_with_the_recursive_fold() -> None:
+    """Same verdict, and the same postcondition queries in the same order,
+    so the short-circuit matches ``all``/``any`` exactly."""
+    rng = random.Random(37)
+    rec = pt_rec(toy_invariant())
+    cases = [
+        (ALL, NONDET_ROW, None),
+        (ANY, NONDET_ROW, None),
+        (PARSER_SEMANTICS, PARSER_ROW, "ab"),
+        (SemanticsRow((pt_any(), pt_parse_strict())), PARSER_ROW, "ba"),
+        (SemanticsRow((pt_all(), pt_parser_maybe())), MAYBE_ROW, "a"),
+        (SemanticsRow((rec, pt_any())), EffectRow((EffectId.REC, EffectId.NONDET)), None),
+    ]
+    for sem, row, state0 in cases:
+        posts = STATEFUL_POSTS if state0 is not None else STATEFUL_POSTS[2:]
+        for _ in range(80):
+            m = random_reader(rng, rng.randrange(1, 10), row)
+            for post in posts:
+                new_post, new_asked = _recorded(post)
+                old_post, old_asked = _recorded(post)
+                verdict = wp_stateful(sem, m, new_post, state0)
+                assert verdict == reference.wp(sem, m, old_post, state0)
+                assert new_asked == old_asked
+
+
+def test_wp_transform_is_the_quantified_branches() -> None:
+    for pt, command, state, branches in (
+        (pt_all(), choice(pure(UNIT), pure(UNIT)).command, "x", ((TRUE, "x"), (FALSE, "x"))),
+        (pt_any(), fail().command, None, ()),
+        (pt_parse_strict(), symbol_strict(PARSER_ROW).command, "", ()),
+        (pt_parse_strict(), symbol_strict(PARSER_ROW).command, "ab", ((Ch("a"), "b"),)),
+        (pt_parser_maybe(), symbol_maybe(MAYBE_ROW).command, "", ((UNIT, ""),)),
+    ):
+        assert tuple(pt.branches(command, state)) == branches
+        for verdicts in ((True, True), (True, False), (False, False)):
+            answers = dict(zip(branches, verdicts))
+            quantifier = all if pt.demonic else any
+            expected = quantifier(answers[b] for b in branches)
+            assert pt.transform(command, lambda r, s: answers[(r, s)], state) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,14 @@ derivative matcher recurses on simplified derivatives, which stay few and
 small, and ``is_match`` recurses once per level of the regex, so neither
 goes deeper as the input grows.  The regex parser keeps open groups on a
 stack, and derivatives, sizes and printed forms of regexes are computed on
-explicit stacks too, so a pattern may nest as deep as memory allows.  Each
-test here pins the limit at CPython's default for its duration, so a
-walker that recursed once per command, per nested call, per character,
-per regex level or per printed node would overflow.
+explicit stacks too, so a pattern may nest as deep as memory allows.
+``bind`` queues its continuations on the resumption, ``wp`` and the
+left-recursion analysis keep their pending work on explicit stacks, and the
+structural matcher builds each alternative and each split when its branch
+is reached.  Each test here pins the limit at CPython's default for its
+duration, so a walker that recursed once per command, per nested call, per
+bind, per character, per link, per regex level or per printed node would
+overflow.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ import contextlib
 import io
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from effparse.cfg import Nonterminal, SemValue, grammar_from_text, parse
+from effparse.cfg import Nonterminal, SemValue, chain_bound, expanded_parser, grammar_from_text, parse, parse_fuel
 from effparse.cli import main
 from effparse.core import (
     NONDET_ROW,
@@ -36,6 +41,8 @@ from effparse.core import (
     bind,
     choice,
     choices,
+    fail,
+    fmap,
     pure,
     symbol_strict,
 )
@@ -50,11 +57,13 @@ from effparse.regex import (
     derivative,
     format_regex,
     is_match,
+    match_fn,
+    match_input,
     nullable,
     parse_regex,
     regex_size,
 )
-from effparse.semantics import results_demonic
+from effparse.semantics import SemanticsRow, in_language, pt_all, pt_any, results_demonic, wp
 
 from helpers import regex_nodes
 
@@ -283,3 +292,101 @@ def test_cli_regex_commands_exit_0_to_3_on_deep_patterns(shaped: tuple[str, str]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert isinstance(code, int) and 0 <= code <= 3
+
+
+# ---------------------------------------------------------------------------
+# Deep binds, deep wp, long chains
+# ---------------------------------------------------------------------------
+
+
+def test_ten_thousand_nested_fmaps_and_binds() -> None:
+    # Each fmap or bind appends to the continuation queue its resumption
+    # carries, so resuming runs them all in one loop.
+    m = choice(pure(Str("x")), pure(Str("y")))
+    for _ in range(N):
+        m = fmap(lambda v: Str(v.text + "."), m)
+    assert results_demonic(m) == ((Str("x" + "." * N), None), (Str("y" + "." * N), None))
+    m = choice(pure(Str("")), fail())
+    for _ in range(N):
+        m = bind(m, lambda v: choice(pure(Str(v.text + "a")), fail()))
+    assert results_demonic(m) == ((Str("a" * N), None),)
+
+
+def test_ten_thousand_fmaps_over_recursive_binds() -> None:
+    # Each level's continuation meets an op whose resumption carries a
+    # queue of its own while the outer fmaps still wait, so the two queues
+    # are joined rather than nested.
+    def nest(n: int):
+        if n == 0:
+            return pure(Str(""))
+        return fmap(lambda v: Str(v.text + "a"), bind(choice(pure(UNIT), fail()), lambda _v: nest(n - 1)))
+
+    assert results_demonic(nest(N)) == ((Str("a" * N), None),)
+
+
+@pytest.mark.parametrize(
+    "grammar, text, accepted",
+    [
+        # Every proper prefix parses too, and leaves input unread.
+        ("S -> 'a' S | 'a'\n", "a" * N, False),
+        ("S -> 'a' S | 'b'\n", "a" * N + "b", True),
+    ],
+    ids=["right_rec", "one_parse"],
+)
+def test_in_language_at_ten_thousand_characters(grammar: str, text: str, accepted: bool) -> None:
+    g = grammar_from_text(grammar)
+    bound = chain_bound(g).bound
+    assert in_language(expanded_parser(g, S, parse_fuel(len(text), bound)), text) is accepted
+
+
+def test_wp_on_a_ten_thousand_deep_choice_chain() -> None:
+    m = pure(UNIT)
+    for _ in range(N):
+        m = choice(pure(UNIT), m)
+    all_row, any_row = SemanticsRow((pt_all(),)), SemanticsRow((pt_any(),))
+    assert wp(all_row, m, lambda v: v == UNIT)
+    assert not wp(any_row, m, lambda _v: False)
+
+
+def _chain_grammar(tmp_path: Path, n: int) -> str:
+    path = tmp_path / f"chain{n}.cfg"
+    rules = [f"A{i} -> A{i + 1} 'x'\n" for i in range(n)] + [f"A{n} -> 'y'\n"]
+    path.write_text("".join(rules), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_cfg_check_on_a_ten_thousand_link_chain(capsys, tmp_path: Path) -> None:
+    path = _chain_grammar(tmp_path, N)
+    links = "".join(f"link: A{i} -> A{i + 1} (production {i})\n" for i in range(N))
+    assert _cli(capsys, ["cfg-check", path]) == (0, links + f"bound: {N + 1}\n", "")
+
+
+def test_cli_cfg_parse_on_a_1500_link_chain(capsys, tmp_path: Path) -> None:
+    n = 1500
+    path = _chain_grammar(tmp_path, n)
+    nodes = "".join(f"(node A{i} {i} " for i in range(n)) + f"(node A{n} {n})" + ")" * n
+    assert _cli(capsys, ["cfg-parse", path, "A0", "y" + "x" * n]) == (0, nodes + "\n", "")
+
+
+def test_cli_structural_match_on_two_thousand_alternatives(capsys) -> None:
+    # Each alternative is built when its branch is resumed, and the
+    # tagging fmaps join one continuation queue.
+    n = 2000
+    witness = "(inr " * (n - 1) + "(char a)" + ")" * (n - 1)
+    assert _cli(capsys, ["match", "--engine", "structural", "|".join("b" * (n - 1) + "a"), "a"]) == (
+        0,
+        witness + "\n",
+        "",
+    )
+
+
+def test_structural_splits_are_made_one_at_a_time() -> None:
+    # All 10^4 + 1 splits at once would hold about 10^8 characters.
+    tracemalloc.start()
+    try:
+        outcome = run_with_fuel(match_fn(), match_input(parse_regex("a b"), "ab" * 5000), 0)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome == Done(())
+    assert peak < 5_000_000
