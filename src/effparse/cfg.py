@@ -16,10 +16,17 @@ fuel budget — ``(len(input) + 1) * (bound + 1)`` — under which
 :func:`parse` provably finishes.  (A left-corner transform would make
 cyclic grammars workable; this library just reports them.)
 
+:func:`parse` gives every parse of every prefix, as the paper does.
+:func:`parse_full` gives the parses of the whole input only, from a second,
+end-anchored body per nonterminal: the augmented grammar ``S' -> S $`` of
+LR parsing (Knuth 1965) pushed into tail positions, so a parse that stops
+short of the end dies where it arises instead of climbing back through its
+callers.  It makes the same calls, so it runs dry on the same budgets.
+
 :func:`spec_produce` is the independent oracle: a direct brute-force
-enumeration of the derivation relation, against which the effectful parser
-is checked.  The grammar file format understood by the command line lives
-in :func:`grammar_from_text`.
+enumeration of the derivation relation, prefix or anchored, against which
+the effectful parser is checked.  The grammar file format understood by
+the command line lives in :func:`grammar_from_text`.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .core import (
     ListV,
     NodeV,
     PARSER_ROW,
+    PairV,
     Str,
     UNIT,
     Value,
@@ -45,9 +53,10 @@ from .core import (
     choices,
     fail,
     pure,
+    symbol_maybe,
     symbol_strict,
 )
-from .handlers import Done, RecursiveFn, TerminationInvariantError, _unfold, run_with_fuel
+from .handlers import Done, Exhausted, FuelOutcome, RecursiveFn, TerminationInvariantError, _unfold, run_with_fuel
 from .render import Shape, render_tree
 from .semantics import _drive
 
@@ -78,6 +87,7 @@ __all__ = [
     "left_rec_links",
     "parse",
     "parse_fuel",
+    "parse_full",
     "spec_produce",
 ]
 
@@ -239,10 +249,11 @@ class _Index:
     """The input-independent parts of a grammar's parser, built once.
 
     Productions grouped by left-hand side, and, as they are first asked
-    for, one body per nonterminal and one step per grammar symbol: a
-    strict read of a terminal or a call of a nonterminal.  Computations are
-    immutable and their resumptions pure, so every parse of the grammar can
-    share them.  The index lives on its grammar and is dropped with it.
+    for, two bodies per nonterminal (plain and end-anchored) and one step
+    per grammar symbol: a strict read of a terminal, or a plain or anchored
+    call of a nonterminal.  Computations are immutable and their
+    resumptions pure, so every parse of the grammar can share them.  The
+    index lives on its grammar and is dropped with it.
     """
 
     __slots__ = ("by_lhs", "bodies", "steps")
@@ -252,18 +263,20 @@ class _Index:
         for production in g.productions:
             by_lhs.setdefault(production.lhs, []).append(production)
         self.by_lhs = {a: tuple(ps) for a, ps in by_lhs.items()}
-        self.bodies: dict[Nonterminal, Computation] = {}
-        self.steps: dict[GSymbol, Computation] = {}
+        # Both indexed by the anchored flag: plain first, anchored second.
+        self.bodies: tuple[dict[Nonterminal, Computation], ...] = ({}, {})
+        self.steps: tuple[dict[GSymbol, Computation], ...] = ({}, {})
 
-    def step(self, symbol: GSymbol) -> Computation:
-        m = self.steps.get(symbol)
+    def step(self, symbol: GSymbol, anchored: bool = False) -> Computation:
+        m = self.steps[anchored].get(symbol)
         if m is None:
             if isinstance(symbol, Term):
                 m = exact(symbol.char)
             else:
                 assert isinstance(symbol, NonTerm)
-                m = call(CFG_ROW, Str(symbol.nonterminal.name))
-            self.steps[symbol] = m
+                name = Str(symbol.nonterminal.name)
+                m = call(CFG_ROW, PairV(name, _END) if anchored else name)
+            self.steps[anchored][symbol] = m
         return m
 
 
@@ -287,11 +300,22 @@ def exact(c: str, row: EffectRow = CFG_ROW) -> Computation:
     return bind(symbol_strict(row), lambda response: done if response == expected else dead)
 
 
+#: What an anchored call must leave unread; its input is ``PairV(name, _END)``.
+_END = Str("")
+
+#: The end-of-input check is an optional read, which answers ``UNIT`` only
+#: at the end.  Strict reads cannot tell the end apart from a failed read,
+#: and only this check uses the read, so ``CFG_ROW`` stays as it is.
+_END_ROW = EffectRow(CFG_ROW.effects + (EffectId.PARSER_MAYBE,))
+_READ_MAYBE, _DEAD = symbol_maybe(_END_ROW), fail(CFG_ROW)
+
+
 def build_parser(
     g: Grammar,
     rhs: tuple[GSymbol, ...],
     acc: tuple = (),
     last: Production | None = None,
+    anchored: bool = False,
 ) -> Computation:
     """Walk a right-hand side, collecting one child per nonterminal.
 
@@ -299,17 +323,26 @@ def build_parser(
     the recursion effect.  By default each child is the call's response
     and the walk delivers the children as a list value.  Given the
     production ``last`` being walked, each child is the derivation node
-    the response carries, and the walk delivers ``last``'s own node.
+    the response carries, and the walk delivers ``last``'s own node.  An
+    ``anchored`` walk delivers only at the end of the input: a last
+    nonterminal is an anchored call, and after a last terminal, or for an
+    empty right-hand side, an end-of-input check comes last.
     """
-    if not rhs:
-        if last is None:
-            return pure(ListV(acc))
-        return pure(NodeV(SemValue(last.lhs, last.index, acc)))
-    head, rest = rhs[0], rhs[1:]
-    step = _index(g).step(head)
-    if isinstance(head, Term):
-        return bind(step, lambda _: build_parser(g, rest, acc, last))
-    return bind(step, lambda child: build_parser(g, rest, acc + (child if last is None else _node_of(child),), last))
+    index, n = _index(g), len(rhs)
+    # Each symbol's step is looked up once, when the walk is built, not on every run.
+    reads = [isinstance(symbol, Term) for symbol in rhs]
+    steps = [index.step(symbol, anchored and i == n - 1 and not reads[i]) for i, symbol in enumerate(rhs)]
+    check = anchored and (n == 0 or reads[-1])
+
+    def walk(i: int, acc: tuple) -> Computation:
+        if i == n:
+            done = pure(ListV(acc)) if last is None else pure(NodeV(SemValue(last.lhs, last.index, acc)))
+            return bind(_READ_MAYBE, lambda response: done if response == UNIT else _DEAD) if check else done
+        if reads[i]:
+            return bind(steps[i], lambda _: walk(i + 1, acc))
+        return bind(steps[i], lambda child: walk(i + 1, acc + (child if last is None else _node_of(child),)))
+
+    return walk(0, acc)
 
 
 def _node_of(value: Value) -> SemValue:
@@ -318,26 +351,34 @@ def _node_of(value: Value) -> SemValue:
     return value.node
 
 
-def from_prods(g: Grammar, a: Nonterminal) -> Computation:
+def from_prods(g: Grammar, a: Nonterminal, anchored: bool = False) -> Computation:
     """Parse ``a``: choose one of its productions and walk it.
 
-    A nonterminal with no productions parses nothing.  The computation is
-    built on the first call for ``a`` and shared by every later one.
+    A nonterminal with no productions parses nothing.  An ``anchored``
+    parse walks each production anchored (see :func:`build_parser`), so it
+    ends at the end of the input.  The computation is built on the first
+    call for ``a`` and shared by every later one.
     """
-    index = _index(g)
-    body = index.bodies.get(a)
+    bodies = _index(g).bodies[anchored]
+    body = bodies.get(a)
     if body is None:
-        body = index.bodies[a] = choices([build_parser(g, p.rhs, (), p) for p in filter_lhs(g, a)], CFG_ROW)
+        body = bodies[a] = choices([build_parser(g, p.rhs, (), p, anchored) for p in filter_lhs(g, a)], CFG_ROW)
     return body
 
 
 def from_prods_fn(g: Grammar) -> RecursiveFn:
-    """The grammar's parser as a recursive function on nonterminal names."""
+    """The grammar's parser as a recursive function on nonterminal names.
+
+    A name runs the plain body; the name paired with the empty remainder,
+    ``PairV(Str(name), Str(""))``, runs the anchored one.
+    """
 
     def body(value: Value) -> Computation:
-        if not isinstance(value, Str):
-            raise TypeError(f"call inputs are nonterminal names, got {value!r}")
-        return from_prods(g, Nonterminal(value.text))
+        if isinstance(value, Str):
+            return from_prods(g, Nonterminal(value.text))
+        if isinstance(value, PairV) and isinstance(value.first, Str) and value.second == _END:
+            return from_prods(g, Nonterminal(value.first.text), True)
+        raise TypeError(f"call inputs are nonterminal names, alone or paired with Str(''), got {value!r}")
 
     return RecursiveFn(CFG_ROW, body)
 
@@ -347,57 +388,55 @@ def from_prods_fn(g: Grammar) -> RecursiveFn:
 # ---------------------------------------------------------------------------
 
 
-def spec_produce(g: Grammar, a: Nonterminal, text: str) -> tuple[tuple[SemValue, str], ...]:
+def spec_produce(g: Grammar, a: Nonterminal, text: str, anchored: bool = False) -> tuple[tuple[SemValue, str], ...]:
     """All derivations of ``a`` on a prefix of ``text``, with remainders.
 
     A direct enumeration of the derivation relation, independent of the
     effect machinery: for each production in order, walk its right-hand
-    side over every way the nonterminals can consume input.  Requires an
-    acyclic left-recursion graph; the derivation depth is capped by the
-    proven fuel bound, so running into the cap means the bound's proof is
-    broken, not that the input is large.
+    side over every way the nonterminals can consume input.  ``anchored``
+    keeps only the derivations of all of ``text``, in the same order,
+    anchoring tail positions as :func:`parse_full` does, so no derivation
+    of a shorter prefix is built.  Requires an acyclic left-recursion
+    graph; the derivation depth is capped by the proven fuel bound, so
+    running into the cap means the bound's proof is broken, not that the
+    input is large.
     """
-    report = chain_bound(g)
-    if report.cyclic:
-        assert report.cycle is not None
-        raise CyclicGrammarError(report.cycle)
-    assert report.bound is not None
-    cap = parse_fuel(len(text), report.bound)
-    produced: dict[tuple[Nonterminal, str, int], tuple[tuple[SemValue, str], ...]] = {}
+    cap = _proven_fuel(g, len(text))
+    produced: dict[tuple[Nonterminal, str, int, bool], tuple[tuple[SemValue, str], ...]] = {}
 
-    def produce(nt: Nonterminal, s: str, depth: int) -> tuple[tuple[SemValue, str], ...]:
+    def produce(nt: Nonterminal, s: str, depth: int, anchored: bool) -> tuple[tuple[SemValue, str], ...]:
         if depth == 0:
             raise RuntimeError(
                 "derivation depth exceeded the proven bound; chain analysis is inconsistent"
             )
-        key = (nt, s, depth)
+        key = (nt, s, depth, anchored)
         if key in produced:
             return produced[key]
         out: list[tuple[SemValue, str]] = []
         for production in filter_lhs(g, nt):
-            for children, remainder in walk(production.rhs, s, depth):
+            for children, remainder in walk(production.rhs, s, depth, anchored):
                 out.append((SemValue(nt, production.index, children), remainder))
         produced[key] = tuple(out)
         return produced[key]
 
     def walk(
-        rhs: tuple[GSymbol, ...], s: str, depth: int
+        rhs: tuple[GSymbol, ...], s: str, depth: int, anchored: bool
     ) -> tuple[tuple[tuple[SemValue, ...], str], ...]:
         if not rhs:
-            return (((), s),)
+            return (((), s),) if s == "" or not anchored else ()
         head, rest = rhs[0], rhs[1:]
         if isinstance(head, Term):
             if s.startswith(head.char):
-                return walk(rest, s[1:], depth)
+                return walk(rest, s[1:], depth, anchored)
             return ()
         assert isinstance(head, NonTerm)
         out: list[tuple[tuple[SemValue, ...], str]] = []
-        for child, remainder in produce(head.nonterminal, s, depth - 1):
-            for children, final in walk(rest, remainder, depth):
+        for child, remainder in produce(head.nonterminal, s, depth - 1, anchored and not rest):
+            for children, final in walk(rest, remainder, depth, anchored):
                 out.append(((child,) + children, final))
         return tuple(out)
 
-    return produce(a, text, cap)
+    return produce(a, text, cap, anchored)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +528,29 @@ def parse_fuel(input_length: int, bound: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _proven_fuel(g: Grammar, length: int) -> int:
+    """The proven budget for ``length`` characters; rejects cyclic grammars."""
+    report = chain_bound(g)
+    if report.cyclic:
+        assert report.cycle is not None
+        raise CyclicGrammarError(report.cycle)
+    assert report.bound is not None
+    return parse_fuel(length, report.bound)
+
+
+def _run(g: Grammar, call_input: Value, text: str, fuel: int | None = None) -> FuelOutcome:
+    """Run the parser on ``text`` from ``call_input``, on ``fuel`` or on the
+    proven budget, where running dry is a broken invariant and raises."""
+    if fuel is not None:
+        return run_with_fuel(from_prods_fn(g), call_input, fuel, state0=text)
+    outcome = run_with_fuel(from_prods_fn(g), call_input, _proven_fuel(g, len(text)), state0=text)
+    if not isinstance(outcome, Done):
+        raise TerminationInvariantError(
+            "grammar parsing ran out of fuel despite an acyclic chain analysis"
+        )
+    return outcome
+
+
 def parse(g: Grammar, a: Nonterminal, text: str) -> tuple[tuple[SemValue, str], ...]:
     """All parses of a prefix of ``text`` as ``a``, with their remainders.
 
@@ -496,26 +558,30 @@ def parse(g: Grammar, a: Nonterminal, text: str) -> tuple[tuple[SemValue, str], 
     the effectful parser with the proven fuel budget.  Running out of fuel
     is therefore not an input condition but a broken invariant, and raises.
     """
-    report = chain_bound(g)
-    if report.cyclic:
-        assert report.cycle is not None
-        raise CyclicGrammarError(report.cycle)
-    assert report.bound is not None
-    outcome = run_with_fuel(
-        from_prods_fn(g),
-        Str(a.name),
-        parse_fuel(len(text), report.bound),
-        state0=text,
-    )
-    if not isinstance(outcome, Done):
-        raise TerminationInvariantError(
-            "grammar parsing ran out of fuel despite an acyclic chain analysis"
-        )
+    outcome = _run(g, Str(a.name), text)
     results: list[tuple[SemValue, str]] = []
     for value, state in outcome.results:
         assert state is not None
         results.append((_node_of(value), state))
     return tuple(results)
+
+
+def parse_full(g: Grammar, a: Nonterminal, text: str, fuel: int | None = None) -> tuple[SemValue, ...] | Exhausted:
+    """The parses of all of ``text`` as ``a``, in the order :func:`parse` gives.
+
+    They are the results of :func:`parse` with an empty remainder, but the
+    run starts from ``a``'s anchored body, so a parse of a shorter prefix
+    dies where it arises.  Without ``fuel`` it runs as :func:`parse` does:
+    cyclic grammars are rejected, and running dry on the proven budget
+    raises.  Given ``fuel``, it skips the chain analysis, runs on that
+    budget, and returns :data:`~effparse.handlers.EXHAUSTED` if a path ran
+    dry: an anchored body makes the calls the plain one makes, so it runs
+    dry exactly when :func:`run_with_fuel` on the plain body does.
+    """
+    outcome = _run(g, PairV(Str(a.name), _END), text, fuel)
+    if not isinstance(outcome, Done):
+        return outcome
+    return tuple(_node_of(value) for value, _ in outcome.results)
 
 
 def expanded_parser(g: Grammar, a: Nonterminal, depth: int) -> Computation:

@@ -20,12 +20,10 @@ from .cfg import (
     Nonterminal,
     chain_bound,
     format_sem_value,
-    from_prods_fn,
     grammar_from_text,
-    parse as cfg_parse,
+    parse_full,
 )
-from .core import Str
-from .handlers import Done, TerminationInvariantError, run_with_fuel
+from .handlers import Done, Exhausted, TerminationInvariantError, run_with_fuel
 from .regex import (
     RegexSyntaxError,
     derivative,
@@ -113,6 +111,9 @@ def _load_grammar(path: str) -> Grammar | int:
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as error:
+        print(f"error: {path}: not UTF-8 text ({error.reason} at byte {error.start})", file=sys.stderr)
+        return 2
     try:
         return grammar_from_text(source)
     except GrammarError as error:
@@ -141,33 +142,34 @@ def cmd_cfg_check(path: str) -> int:
 
 
 def cmd_cfg_parse(path: str, start: str, text: str, config: CliConfig) -> int:
-    """Print one derivation per full parse of ``text`` from ``start``."""
+    """Print one derivation per full parse of ``text`` from ``start``.
+
+    Only parses of the whole input are computed (:func:`~effparse.cfg.parse_full`),
+    on the proven budget or on ``--fuel``, so on right recursion the run
+    takes time linear in the input rather than quadratic.
+    """
     grammar = _load_grammar(path)
     if isinstance(grammar, int):
         return grammar
-    start_nt = Nonterminal(start)
-    if config.fuel is not None:
-        outcome = run_with_fuel(from_prods_fn(grammar), Str(start), config.fuel, state0=text)
-        if not isinstance(outcome, Done):
-            print("error: fuel exhausted", file=sys.stderr)
-            return 3
-        results = [
-            (value.node, state)  # type: ignore[union-attr]
-            for value, state in outcome.results
-        ]
-    else:
-        try:
-            results = list(cfg_parse(grammar, start_nt, text))
-        except CyclicGrammarError as error:
-            print(f"cyclic: {_cycle_text(error.cycle)}", file=sys.stderr)
-            return 1
-        except TerminationInvariantError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 3
+    try:
+        start_nt = Nonterminal(start)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    try:
+        parses = parse_full(grammar, start_nt, text, config.fuel)
+    except CyclicGrammarError as error:
+        print(f"cyclic: {_cycle_text(error.cycle)}", file=sys.stderr)
+        return 1
+    except TerminationInvariantError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 3
+    if isinstance(parses, Exhausted):
+        print("error: fuel exhausted", file=sys.stderr)
+        return 3
     # Each derivation fixes its own choice path, so none comes twice.
     as_json = config.format == "json-lines"
-    lines = [format_sem_value(node, as_json) for node, remainder in results if remainder == ""]
-    return _emit_results(lines, config)
+    return _emit_results([format_sem_value(node, as_json) for node in parses], config)
 
 
 def _natural(text: str) -> int:

@@ -7,6 +7,12 @@ through a list value and a last ``bind``.  The two must give the same
 results in the same order through every runner: ``parse``,
 ``run_with_fuel`` at any fuel, and the unfolding behind
 ``expanded_parser``.
+
+The full-parse entry ``parse_full`` runs the end-anchored bodies instead.
+It must give the results of ``parse`` that leave no remainder, in the same
+order, run dry at exactly the budgets the plain parser runs dry at, and
+expand exactly as many calls; the anchored oracle must likewise equal the
+prefix oracle filtered to empty remainders.
 """
 
 from __future__ import annotations
@@ -32,10 +38,12 @@ from effparse.cfg import (
     grammar_from_text,
     parse,
     parse_fuel,
+    parse_full,
+    spec_produce,
 )
 from effparse import cfg
 from effparse.core import PARSER_ROW, Str, fail
-from effparse.handlers import Done, TerminationInvariantError, _unfold, run_parser_prefix, run_with_fuel
+from effparse.handlers import Done, Exhausted, TerminationInvariantError, _unfold, run_parser_prefix, run_with_fuel
 from effparse.semantics import PARSER_SEMANTICS, in_language
 
 import reference
@@ -141,6 +149,66 @@ def test_each_expansion_asks_for_its_body_once(name: str, monkeypatch: pytest.Mo
     old = run_with_fuel(reference.from_prods_fn(g), Str(start), fuel, state0=sample)
     assert new == old
     assert asked["new"] == asked["old"] > 1
+
+
+@pytest.mark.parametrize("name, g, start, texts", CASES, ids=[case[0] for case in CASES])
+def test_parse_full_is_parse_filtered_to_full_parses(name: str, g: Grammar, start: Nonterminal, texts: list[str]) -> None:
+    for text in texts:
+        try:
+            prefixes = parse(g, start, text)
+        except TerminationInvariantError:
+            # Short of the proven budget (see above): both run dry alike.
+            with pytest.raises(TerminationInvariantError):
+                parse_full(g, start, text)
+            continue
+        assert parse_full(g, start, text) == tuple(node for node, rest in prefixes if rest == "")
+
+
+@pytest.mark.parametrize("name, g, start, texts", CASES, ids=[case[0] for case in CASES])
+def test_parse_full_runs_dry_on_the_budgets_parse_does(name: str, g: Grammar, start: Nonterminal, texts: list[str]) -> None:
+    bound = chain_bound(g).bound
+    assert bound is not None
+    plain_fn = from_prods_fn(g)
+    for text in texts:
+        for fuel in range(parse_fuel(len(text), bound) + 1):
+            plain = run_with_fuel(plain_fn, Str(start.name), fuel, state0=text)
+            full = parse_full(g, start, text, fuel)
+            if isinstance(plain, Done):
+                assert full == tuple(value.node for value, rest in plain.results if rest == "")
+            else:
+                assert isinstance(full, Exhausted)
+
+
+@pytest.mark.parametrize("name, g, start, texts", CASES, ids=[case[0] for case in CASES])
+def test_parse_full_asks_for_as_many_bodies_as_the_plain_parser(
+    name: str, g: Grammar, start: Nonterminal, texts: list[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    asked = [0]
+    original = cfg.from_prods
+
+    def counted(*args):
+        asked[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cfg, "from_prods", counted)
+    bound = chain_bound(g).bound
+    for text in texts:
+        fuel = parse_fuel(len(text), bound)
+        for budget in (fuel // 2, fuel):
+            asked[0] = 0
+            plain = run_with_fuel(from_prods_fn(g), Str(start.name), budget, state0=text)
+            plain_asks = asked[0]
+            asked[0] = 0
+            full = parse_full(g, start, text, budget)
+            assert asked[0] == plain_asks > 0
+            assert isinstance(full, Exhausted) == isinstance(plain, Exhausted)
+
+
+@pytest.mark.parametrize("name, g, start, texts", CASES, ids=[case[0] for case in CASES])
+def test_anchored_oracle_is_the_prefix_oracle_filtered(name: str, g: Grammar, start: Nonterminal, texts: list[str]) -> None:
+    for text in texts:
+        expected = tuple(result for result in spec_produce(g, start, text) if result[1] == "")
+        assert spec_produce(g, start, text, anchored=True) == expected
 
 
 def test_a_body_is_built_once_per_grammar_and_dies_with_it() -> None:

@@ -216,6 +216,33 @@ def test_cfg_parse_fuel_override_runs_acyclic_grammars(capsys, grammar_file) -> 
     assert (code, out) == (0, "(node E 0 (node E 1))\n")
 
 
+def test_cfg_parse_nullable_sequence_exit_codes(capsys, grammar_file) -> None:
+    # Calls of nullable nonterminals one after another at one position
+    # outrun the proven budget; a larger --fuel finishes with no parse.
+    path = grammar_file("S -> A A 'a' |\nA -> | 'b' A S\n")
+    code, out, err = run_cli(capsys, "cfg-parse", path, "S", "bb")
+    assert (code, out) == (3, "")
+    assert err == "error: grammar parsing ran out of fuel despite an acyclic chain analysis\n"
+    assert run_cli(capsys, "cfg-parse", path, "S", "bb", "--fuel", "40") == (1, "", "")
+
+
+def test_cfg_parse_empty_start_is_exit_two(capsys, grammar_file) -> None:
+    path = grammar_file("E -> 'a'\n")
+    for extra in ((), ("--fuel", "3")):
+        code, out, err = run_cli(capsys, "cfg-parse", path, "", "aa", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: nonterminal names are nonempty\n"
+
+
+@pytest.mark.parametrize("command", [("cfg-check",), ("cfg-parse", "E", "a")], ids=["cfg-check", "cfg-parse"])
+def test_grammar_file_that_is_not_utf8_is_exit_two(capsys, tmp_path: Path, command: tuple[str, ...]) -> None:
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"E -> '\xff'\n")
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "not UTF-8" in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # usage
 # ---------------------------------------------------------------------------

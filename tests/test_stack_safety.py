@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+import signal
 import sys
 import tracemalloc
 from pathlib import Path
@@ -29,7 +30,17 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from effparse.cfg import Nonterminal, SemValue, chain_bound, expanded_parser, grammar_from_text, parse, parse_fuel
+from effparse.cfg import (
+    Nonterminal,
+    SemValue,
+    chain_bound,
+    expanded_parser,
+    format_sem_value,
+    grammar_from_text,
+    parse,
+    parse_fuel,
+    spec_produce,
+)
 from effparse.cli import main
 from effparse.core import (
     NONDET_ROW,
@@ -390,3 +401,74 @@ def test_structural_splits_are_made_one_at_a_time() -> None:
         tracemalloc.stop()
     assert outcome == Done(())
     assert peak < 5_000_000
+
+
+# ---------------------------------------------------------------------------
+# cfg-parse at 4096 characters
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError in the block once it has run for ``seconds``."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _cfg_parse_4096(capsys, tmp_path: Path, grammar: str, start: str, text: str) -> tuple[int, str, str]:
+    # Only full parses are computed, so a parse of a shorter prefix dies
+    # where it arises instead of climbing back through its derivation: the
+    # run is linear on right recursion (quadratic before, about 30 s for
+    # `a` * 4096), and the deadline keeps a quadratic run from hanging.
+    path = tmp_path / "g.cfg"
+    path.write_text(grammar, encoding="utf-8")
+    with _deadline(10):
+        return _cli(capsys, ["cfg-parse", str(path), start, text])
+
+
+def test_cli_cfg_parse_right_recursion_of_4096(capsys, tmp_path: Path) -> None:
+    n = 4096
+    derivation = "(node S 0 " * (n - 1) + "(node S 1)" + ")" * (n - 1)
+    assert _cfg_parse_4096(capsys, tmp_path, "S -> 'a' S | 'a'\n", "S", "a" * n) == (0, derivation + "\n", "")
+
+
+def test_cli_cfg_parse_flat_dyck_word_of_4096(capsys, tmp_path: Path) -> None:
+    pairs = 2048
+    derivation = "(node S 0 (node S 1) " * pairs + "(node S 1)" + ")" * pairs
+    assert _cfg_parse_4096(capsys, tmp_path, "S -> '(' S ')' S |\n", "S", "()" * pairs) == (0, derivation + "\n", "")
+
+
+def _palindrome() -> str:
+    rng = random.Random(11)
+    half = "".join(rng.choice("ab") for _ in range(2048))
+    return half + half[::-1]
+
+
+@pytest.mark.parametrize(
+    "grammar, start, text",
+    [
+        ("E -> T R\nR -> '+' T R |\nT -> F\nF -> 'x' | '(' E ')'\n", "E", "(" * 1000 + "x" + ")" * 1000 + "+x" * 1047),
+        ("P -> 'a' P 'a' | 'b' P 'b' | 'a' | 'b' |\n", "P", _palindrome()),
+    ],
+    ids=["expression", "palindrome"],
+)
+def test_cli_cfg_parse_agrees_with_the_anchored_oracle_at_4096(
+    capsys, tmp_path: Path, grammar: str, start: str, text: str
+) -> None:
+    # The oracle recurses once per derivation level, so it runs under a
+    # raised limit; the parser runs at the default one.
+    sys.setrecursionlimit(100_000)
+    g = grammar_from_text(grammar)
+    expected = "".join(format_sem_value(node) + "\n" for node, _ in spec_produce(g, Nonterminal(start), text, anchored=True))
+    sys.setrecursionlimit(1000)
+    assert expected
+    assert _cfg_parse_4096(capsys, tmp_path, grammar, start, text) == (0, expected, "")
