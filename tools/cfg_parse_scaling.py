@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-character cost of ``effparse cfg-parse`` from 256 to 4096 characters.
 
-    python3 tools/cfg_parse_scaling.py [--src DIR] [--sizes 256,512,1024,2048,4096]
+    python3 tools/cfg_parse_scaling.py [--src DIR]
 
 Runs ``cli.main(["cfg-parse", ...])`` in this process, output discarded, on
 the four grammars of the benchmark's cfg-parse workload.  Inputs come from
@@ -28,6 +28,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIZES = (256, 512, 1024, 2048, 4096)
 
 
 def best_of_three(main, argv: list[str]) -> tuple[float, str]:
@@ -45,24 +46,22 @@ def best_of_three(main, argv: list[str]) -> tuple[float, str]:
 def run() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"))
-    parser.add_argument("--sizes", default="256,512,1024,2048,4096")
     args = parser.parse_args()
     sys.path[:0] = [args.src, str(ROOT / "bench")]
     from effparse.cfg import Nonterminal, format_sem_value, spec_produce
     from effparse.cli import main
     from workloads import GRAMMARS, GrammarFiles, grammar_text
 
-    sizes = [int(size) for size in args.sizes.split(",")]
     with tempfile.TemporaryDirectory() as scratch:
         files = GrammarFiles(scratch)
         members: dict[str, str] = {}
-        print(f"{'grammar':<11} {'input':<8} " + " ".join(f"{n:>16}" for n in sizes) + "   (ms, µs/char)")
+        print(f"{'grammar':<11} {'input':<8} " + " ".join(f"{n:>16}" for n in SIZES) + "   (ms, µs/char)")
         for name, case in GRAMMARS.items():
             argv = ["cfg-parse", files.paths[name], case.start]
             for spoil in (None, 0.5):
                 rng = random.Random(7)
                 cells = []
-                for n in sizes:
+                for n in SIZES:
                     text = grammar_text(rng, case, n, spoil)
                     if spoil is None:
                         members[name] = text
@@ -71,7 +70,7 @@ def run() -> int:
                 kind = "member" if spoil is None else "spoiled"
                 print(f"{name:<11} {kind:<8} " + " ".join(f"{cell:>16}" for cell in cells), flush=True)
 
-        print(f"\nanchored oracle on the {sizes[-1]}-character members (spec_produce(..., anchored=True)):")
+        print(f"\nanchored oracle on the {SIZES[-1]}-character members (spec_produce(..., anchored=True)):")
         sys.setrecursionlimit(200_000)
         for name, case in GRAMMARS.items():
             text = members[name]
