@@ -168,6 +168,11 @@ def handle_rec(
     new_row = EffectRow((EffectId.REC,) + f.row.effects[2:])
 
     def transform(m: Computation, state: str) -> Computation:
+        # Handled commands are answered in a loop, not by calling transform
+        # again, so a body's run of reads costs no Python frame per read.
+        while isinstance(m, Op) and m.index == 1:
+            response, state = handler(m.command, state)
+            m = m.resume(response)
         if isinstance(m, Pure):
             return m
         assert isinstance(m, Op)
@@ -180,9 +185,6 @@ def handle_rec(
                 Command(EffectId.REC, CommandKind.CALL, paired),
                 lambda output: transform(resume(output), state),
             )
-        if m.index == 1:
-            response, next_state = handler(m.command, state)
-            return transform(resume(response), next_state)
         return Op(
             new_row,
             m.index - 1,

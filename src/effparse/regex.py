@@ -19,8 +19,11 @@ Matching proper comes in two flavours:
   :func:`derivative`, and :func:`integral_tree` rebuilds the original
   regex's parse tree from those.  The simplified derivatives of a regex
   are finitely many, so a step costs the same at every character and the
-  witness is that of the unsimplified derivatives.  :func:`dmatch_run`
-  executes it with fuel exactly the input length, which always suffices.
+  witness is that of the unsimplified derivatives.  Each node's
+  computation, and its step for each character, is built once and shared
+  by every run.  :func:`dmatch_run` executes it on the interpreter with
+  the input as state and fuel exactly the input length, which always
+  suffices; :func:`dmatch_handled` is the handled form the paper states.
 
 Regex nodes are hash-consed: building a regex equal to one that exists
 returns that very object, so equality and hashing are identity checks.
@@ -154,11 +157,13 @@ class Regex:
     from one thread at a time.
 
     A node also holds answers that die with it: its :func:`nullable`
-    witness, made from its fields' when it is built, and its tables of
-    :func:`derivative` and :func:`derivative_step` results by character.
+    witness, made from its fields' when it is built, its tables of
+    :func:`derivative` and :func:`derivative_step` results by character,
+    and its :func:`dmatch` computation, built on first use with a step per
+    character read.
     """
 
-    __slots__ = ("__weakref__", "_nullable", "_derived")
+    __slots__ = ("__weakref__", "_nullable", "_derived", "_dmatch")
 
     def __new__(cls, *fields: object) -> Regex:
         # The fields are characters or interned nodes, so a lookup hashes
@@ -173,6 +178,7 @@ class Regex:
             # Past the frozen dataclass's __setattr__.
             object.__setattr__(node, "_nullable", _nullable_of(node))
             object.__setattr__(node, "_derived", ({}, {}))
+            object.__setattr__(node, "_dmatch", None)
             _INTERNED[key] = node
         return node
 
@@ -847,16 +853,36 @@ def dmatch(r: Regex) -> Computation:
     witness or fail.  The witness is the one the unsimplified derivatives
     give, but the regexes recursed on stay few and small however long the
     input.
+
+    The computation is built once per node and kept on it, and so is its
+    step for each character read, the call on the derivative with its
+    rectifier: trees are immutable, so every run and every call on ``r``
+    shares them.
     """
+    m = r._dmatch
+    if m is None:
+        m = _dmatch_of(r)
+        object.__setattr__(r, "_dmatch", m)
+    return m
+
+
+def _dmatch_of(r: Regex) -> Computation:
+    """Build :func:`dmatch`'s computation for ``r``; its steps are built on
+    first use, one per character."""
     row = DMATCH_ROW
+    steps: dict[str, Computation] = {}
+    witness = r._nullable
+    at_end = pure(TreeV(witness)) if witness is not None else fail(row)
 
     def continue_with(response: Value) -> Computation:
-        if isinstance(response, Ch):
-            x = response.char
-            d, fix = r._derived[True].get(x) or _derive(r, x, True)
-            return fmap(lambda tv: TreeV(_rectify(fix, _tree_of(tv), True)), call(row, RegexV(d)))
-        witness = r._nullable
-        return pure(TreeV(witness)) if witness is not None else fail(row)
+        if not isinstance(response, Ch):
+            return at_end
+        x = response.char
+        step = steps.get(x)
+        if step is None:
+            d, fix = _derive(r, x, True)
+            step = steps[x] = fmap(lambda tv: TreeV(_rectify(fix, _tree_of(tv), True)), call(row, RegexV(d)))
+        return step
 
     return bind(symbol_maybe(row), continue_with)
 
@@ -885,11 +911,14 @@ def dmatch_handled() -> RecursiveFn:
 def dmatch_run(r: Regex, s: str) -> tuple[ParseTree, ...]:
     """All witnesses the derivative matcher finds for ``s`` against ``r``.
 
-    Runs with fuel exactly ``len(s)``: each recursive call consumes one
+    Runs :func:`dmatch_fn` on the interpreter with ``s`` as its state,
+    which answers the optional reads, so no handler rebuilds the tree; the
+    witnesses, and their order, are those of :func:`dmatch_handled`.  Runs
+    with fuel exactly ``len(s)``: each recursive call consumes one
     character first, so the budget provably suffices — running dry would
     mean the termination argument itself is broken, and raises.
     """
-    outcome = run_with_fuel(dmatch_handled(), match_input(r, s), len(s))
+    outcome = run_with_fuel(dmatch_fn(), RegexV(r), len(s), s)
     if not isinstance(outcome, Done):
         raise TerminationInvariantError(
             f"derivative matching ran out of fuel on a {len(s)}-character input"

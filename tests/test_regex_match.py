@@ -317,6 +317,28 @@ def test_dmatch_gives_the_unsimplified_witness() -> None:
                 assert dmatch_run(r, text) == dmatch_unsimplified(r, text)
 
 
+def test_dmatch_run_agrees_with_the_handled_matcher() -> None:
+    # dmatch_run runs dmatch_fn on the interpreter with the input as state;
+    # dmatch_handled discharges the reads with handle_rec.  Same witnesses,
+    # same order, and each regex's computation is built once.
+    def handled(r, s):
+        outcome = run_with_fuel(dmatch_handled(), match_input(r, s), len(s))
+        assert isinstance(outcome, Done)
+        return tuple(value.tree for value, _state in outcome.results)
+
+    for r in regexes_up_to(4):
+        assert dmatch(r) is dmatch(r)
+        for s in strings_up_to(4):
+            assert dmatch_run(r, s) == handled(r, s)
+    rng = random.Random(29)
+    for _ in range(300):
+        r = random_regex(rng, 5)
+        assert dmatch(r) is dmatch(r)
+        for _ in range(6):
+            s = "".join(rng.choice("ab") for _ in range(rng.randrange(9)))
+            assert dmatch_run(r, s) == handled(r, s)
+
+
 def test_dmatch_fuel_below_length_can_run_dry() -> None:
     # One character of input needs one unit of fuel; the budget in
     # dmatch_run is tight in this direction.

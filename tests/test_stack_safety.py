@@ -8,13 +8,13 @@ small, and ``is_match`` recurses once per level of the regex, so neither
 goes deeper as the input grows.  The regex parser keeps open groups on a
 stack, and derivatives, sizes and printed forms of regexes are computed on
 explicit stacks too, so a pattern may nest as deep as memory allows.
-``bind`` queues its continuations on the resumption, ``wp`` and the
-left-recursion analysis keep their pending work on explicit stacks, and the
-structural matcher builds each alternative and each split when its branch
-is reached.  Each test here pins the limit at CPython's default for its
-duration, so a walker that recursed once per command, per nested call, per
-bind, per character, per link, per regex level or per printed node would
-overflow.
+``handle_rec`` answers a body's reads in a loop, ``bind`` queues its
+continuations on the resumption, ``wp`` and the left-recursion analysis
+keep their pending work on explicit stacks, and the structural matcher
+builds each alternative and each split when its branch is reached.  Each
+test here pins the limit at CPython's default for its duration, so a walker
+that recursed once per command, per nested call, per bind, per character,
+per link, per regex level or per printed node would overflow.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from effparse.core import (
     UNIT,
     EffectId,
     EffectRow,
+    PairV,
     Str,
     bind,
     choice,
@@ -55,9 +56,10 @@ from effparse.core import (
     fail,
     fmap,
     pure,
+    symbol_maybe,
     symbol_strict,
 )
-from effparse.handlers import Done, RecursiveFn, run_parser, run_parser_prefix, run_with_fuel
+from effparse.handlers import Done, RecursiveFn, h_parser, handle_rec, run_parser, run_parser_prefix, run_with_fuel
 from effparse.regex import (
     Cat,
     CharT,
@@ -125,6 +127,18 @@ def test_run_parser_on_a_ten_thousand_character_read_loop() -> None:
     assert [remainder for _value, remainder in run_parser_prefix(reads(), text)] == [
         text[n:] for n in range(len(text), -1, -1)
     ]
+
+
+def test_handle_rec_on_a_body_that_reads_ten_thousand_characters() -> None:
+    # The handler answers each read in a loop, not one frame per read.
+    row = EffectRow((EffectId.REC, EffectId.PARSER_MAYBE))
+
+    def reads():
+        return bind(symbol_maybe(row), lambda c: reads() if c != UNIT else pure(UNIT))
+
+    f = RecursiveFn(row, lambda _input: reads())
+    outcome = run_with_fuel(handle_rec(h_parser, f), PairV(UNIT, Str("a" * 10_000)), 0)
+    assert outcome == Done(((UNIT, None),))
 
 
 def test_cli_cfg_parse_right_recursion_of_512(capsys, tmp_path: Path) -> None:
