@@ -8,6 +8,9 @@ symbol reads and handing nonterminals to the recursion effect; results are
 sub-derivations for its nonterminals, in order.  Nothing of this depends on
 the input, so each nonterminal's computation is built once per grammar,
 from productions grouped by left-hand side, and shared by every expansion.
+Each is left-factored (Swierstra and Duponcheel 1996): a run of productions
+led by terminals shares one read, and those the character does not start
+have no results and make no call, so results, order, calls and fuel stay.
 
 Left recursion makes naive unfolding diverge, so :func:`chain_bound`
 analyses the grammar's left-recursion links first: grammars whose link
@@ -33,6 +36,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
+from itertools import groupby
 from typing import Iterable, Iterator
 
 from .core import (
@@ -43,17 +48,19 @@ from .core import (
     EffectRow,
     ListV,
     NodeV,
+    Op,
     PARSER_ROW,
     PairV,
     Str,
     UNIT,
     Value,
+    _READ_MAYBE,
+    _READ_STRICT,
     bind,
     call,
     choices,
     fail,
     pure,
-    symbol_maybe,
     symbol_strict,
 )
 from .handlers import Done, Exhausted, FuelOutcome, RecursiveFn, TerminationInvariantError, _unfold, run_with_fuel
@@ -248,15 +255,14 @@ def _sem_value_shape(value: SemValue) -> Shape:
 class _Index:
     """The input-independent parts of a grammar's parser, built once.
 
-    Productions grouped by left-hand side, and, as they are first asked
-    for, two bodies per nonterminal (plain and end-anchored) and one step
-    per grammar symbol: a strict read of a terminal, or a plain or anchored
-    call of a nonterminal.  Computations are immutable and their
-    resumptions pure, so every parse of the grammar can share them.  The
-    index lives on its grammar and is dropped with it.
+    Productions grouped by left-hand side, and, as first asked for, two
+    bodies and two call steps per nonterminal (plain and end-anchored),
+    each call's input mapped back to the two.  Computations are immutable and
+    their resumptions pure, so every parse of the grammar can share them.
+    The index lives on its grammar and is dropped with it.
     """
 
-    __slots__ = ("by_lhs", "bodies", "steps")
+    __slots__ = ("by_lhs", "bodies", "steps", "callees")
 
     def __init__(self, g: Grammar) -> None:
         by_lhs: dict[Nonterminal, list[Production]] = {}
@@ -265,18 +271,15 @@ class _Index:
         self.by_lhs = {a: tuple(ps) for a, ps in by_lhs.items()}
         # Both indexed by the anchored flag: plain first, anchored second.
         self.bodies: tuple[dict[Nonterminal, Computation], ...] = ({}, {})
-        self.steps: tuple[dict[GSymbol, Computation], ...] = ({}, {})
+        self.steps: tuple[dict[Nonterminal, Computation], ...] = ({}, {})
+        self.callees: dict[Value, tuple[Nonterminal, bool]] = {}
 
-    def step(self, symbol: GSymbol, anchored: bool = False) -> Computation:
-        m = self.steps[anchored].get(symbol)
+    def step(self, a: Nonterminal, anchored: bool = False) -> Computation:
+        m = self.steps[anchored].get(a)
         if m is None:
-            if isinstance(symbol, Term):
-                m = exact(symbol.char)
-            else:
-                assert isinstance(symbol, NonTerm)
-                name = Str(symbol.nonterminal.name)
-                m = call(CFG_ROW, PairV(name, _END) if anchored else name)
-            self.steps[anchored][symbol] = m
+            payload = PairV(Str(a.name), _END) if anchored else Str(a.name)
+            m = self.steps[anchored][a] = call(CFG_ROW, payload)
+            self.callees[payload] = (a, anchored)
         return m
 
 
@@ -307,7 +310,10 @@ _END = Str("")
 #: at the end.  Strict reads cannot tell the end apart from a failed read,
 #: and only this check uses the read, so ``CFG_ROW`` stays as it is.
 _END_ROW = EffectRow(CFG_ROW.effects + (EffectId.PARSER_MAYBE,))
-_READ_MAYBE, _DEAD = symbol_maybe(_END_ROW), fail(CFG_ROW)
+_DEAD = fail(CFG_ROW)
+#: One checked ``Op`` per grammar step: a read, or the end check, and its resumption.
+_read = partial(Op, CFG_ROW, CFG_ROW.index_of(EffectId.PARSER_STRICT), _READ_STRICT)
+_read_end = partial(Op, _END_ROW, _END_ROW.index_of(EffectId.PARSER_MAYBE), _READ_MAYBE)
 
 
 def build_parser(
@@ -329,18 +335,17 @@ def build_parser(
     empty right-hand side, an end-of-input check comes last.
     """
     index, n = _index(g), len(rhs)
-    # Each symbol's step is looked up once, when the walk is built, not on every run.
-    reads = [isinstance(symbol, Term) for symbol in rhs]
-    steps = [index.step(symbol, anchored and i == n - 1 and not reads[i]) for i, symbol in enumerate(rhs)]
-    check = anchored and (n == 0 or reads[-1])
+    # Each call is looked up once, when the walk is built, not on every run.
+    calls = [None if isinstance(s, Term) else index.step(s.nonterminal, anchored and i == n - 1) for i, s in enumerate(rhs)]
+    check = anchored and (n == 0 or calls[-1] is None)
 
     def walk(i: int, acc: tuple) -> Computation:
         if i == n:
             done = pure(ListV(acc)) if last is None else pure(NodeV(SemValue(last.lhs, last.index, acc)))
-            return bind(_READ_MAYBE, lambda response: done if response == UNIT else _DEAD) if check else done
-        if reads[i]:
-            return bind(steps[i], lambda _: walk(i + 1, acc))
-        return bind(steps[i], lambda child: walk(i + 1, acc + (child if last is None else _node_of(child),)))
+            return _read_end(lambda response: done if response == UNIT else _DEAD) if check else done
+        if calls[i] is None:
+            return _read(lambda response: walk(i + 1, acc) if response.char == rhs[i].char else _DEAD)
+        return bind(calls[i], lambda child: walk(i + 1, acc + (child if last is None else _node_of(child),)))
 
     return walk(0, acc)
 
@@ -354,6 +359,9 @@ def _node_of(value: Value) -> SemValue:
 def from_prods(g: Grammar, a: Nonterminal, anchored: bool = False) -> Computation:
     """Parse ``a``: choose one of its productions and walk it.
 
+    Left-factored: each consecutive run of terminal-led productions reads
+    once and goes on, in grammar order, with those the character starts; the
+    rest would make no call and give nothing, so results, calls, fuel agree.
     A nonterminal with no productions parses nothing.  An ``anchored``
     parse walks each production anchored (see :func:`build_parser`), so it
     ends at the end of the input.  The computation is built on the first
@@ -362,7 +370,17 @@ def from_prods(g: Grammar, a: Nonterminal, anchored: bool = False) -> Computatio
     bodies = _index(g).bodies[anchored]
     body = bodies.get(a)
     if body is None:
-        body = bodies[a] = choices([build_parser(g, p.rhs, (), p, anchored) for p in filter_lhs(g, a)], CFG_ROW)
+        alternatives: list[Computation] = []
+        for led, run in groupby(filter_lhs(g, a), lambda p: bool(p.rhs) and isinstance(p.rhs[0], Term)):
+            if not led:
+                alternatives.extend(build_parser(g, p.rhs, (), p, anchored) for p in run)
+                continue
+            rests: dict[str, list[Computation]] = {}
+            for p in run:
+                rests.setdefault(p.rhs[0].char, []).append(build_parser(g, p.rhs[1:], (), p, anchored))
+            table = {c: choices(ms, CFG_ROW) for c, ms in rests.items()}
+            alternatives.append(_read(lambda response, table=table: table.get(response.char, _DEAD)))
+        body = bodies[a] = choices(alternatives, CFG_ROW)
     return body
 
 
@@ -372,8 +390,11 @@ def from_prods_fn(g: Grammar) -> RecursiveFn:
     A name runs the plain body; the name paired with the empty remainder,
     ``PairV(Str(name), Str(""))``, runs the anchored one.
     """
+    callees = _index(g).callees
 
     def body(value: Value) -> Computation:
+        if (callee := callees.get(value)) is not None:
+            return from_prods(g, *callee)
         if isinstance(value, Str):
             return from_prods(g, Nonterminal(value.text))
         if isinstance(value, PairV) and isinstance(value.first, Str) and value.second == _END:

@@ -362,8 +362,15 @@ def _graft(m: Op, queue: _Queue) -> Computation:
     return Op(m.row, m.index, command, resume)
 
 
-def _op(row: EffectRow, effect: EffectId, kind: CommandKind, resume: Callable[[Value], Computation], payload: Value = UNIT) -> Op:
-    return Op(row, row.index_of(effect), Command(effect, kind, payload), resume)
+#: The payload-free commands, built (and checked) once each.
+_FAIL = Command(EffectId.NONDET, CommandKind.FAIL)
+_CHOICE = Command(EffectId.NONDET, CommandKind.CHOICE)
+_READ_MAYBE = Command(EffectId.PARSER_MAYBE, CommandKind.SYMBOL)
+_READ_STRICT = Command(EffectId.PARSER_STRICT, CommandKind.SYMBOL)
+
+
+def _op(row: EffectRow, command: Command, resume: Callable[[Value], Computation]) -> Op:
+    return Op(row, row.index_of(command.effect), command, resume)
 
 
 def fail(row: EffectRow = NONDET_ROW) -> Op:
@@ -372,7 +379,7 @@ def fail(row: EffectRow = NONDET_ROW) -> Op:
     def resume(_: Value) -> Computation:
         raise AssertionError("fail has no responses to resume with")
 
-    return _op(row, EffectId.NONDET, CommandKind.FAIL, resume)
+    return _op(row, _FAIL, resume)
 
 
 def choice(left: Computation, right: Computation, row: EffectRow | None = None) -> Op:
@@ -389,7 +396,7 @@ def choice(left: Computation, right: Computation, row: EffectRow | None = None) 
             row = right.row
         else:
             row = NONDET_ROW
-    return _op(row, EffectId.NONDET, CommandKind.CHOICE, lambda response: left if response == TRUE else right)
+    return _op(row, _CHOICE, lambda response: left if response is TRUE or response == TRUE else right)
 
 
 def choices(branches: Sequence[Computation] | Iterable[Computation], row: EffectRow = NONDET_ROW) -> Computation:
@@ -409,14 +416,14 @@ def choices(branches: Sequence[Computation] | Iterable[Computation], row: Effect
 
 def symbol_maybe(row: EffectRow) -> Op:
     """Read the next input character if any; responds with the char or unit."""
-    return _op(row, EffectId.PARSER_MAYBE, CommandKind.SYMBOL, Pure)
+    return _op(row, _READ_MAYBE, Pure)
 
 
 def symbol_strict(row: EffectRow) -> Op:
     """Read the next input character; end of input yields no continuation."""
-    return _op(row, EffectId.PARSER_STRICT, CommandKind.SYMBOL, Pure)
+    return _op(row, _READ_STRICT, Pure)
 
 
 def call(row: EffectRow, payload: Value) -> Op:
     """Invoke the ambient recursive function on ``payload``."""
-    return _op(row, EffectId.REC, CommandKind.CALL, Pure, payload)
+    return _op(row, Command(EffectId.REC, CommandKind.CALL, payload), Pure)

@@ -320,6 +320,8 @@ _Branch = tuple[Computation, "str | None", int]
 _CommandRule = Callable[[Command, "str | None", int], Sequence[_Branch]]
 
 _PURE_FALSE = Pure(FALSE)
+#: Responses to reads of the first 256 code points; other reads build their own.
+_CHARS = {chr(i): Ch(chr(i)) for i in range(256)}
 
 
 def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> list[tuple[Value, str | None]]:
@@ -358,7 +360,7 @@ def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> 
                     raise ValueError("computation reads input; supply state0")
                 if state == "":
                     break
-                m, state = m.resume(Ch(state[0])), state[1:]
+                m, state = m.resume(_CHARS.get(state[0]) or Ch(state[0])), state[1:]
             else:
                 konts = (m.resume, konts)
                 branches = rule(command, state, fuel)
@@ -376,7 +378,7 @@ def _read_optional(state: str | None, fuel: int) -> tuple[_Branch]:
         raise ValueError("computation reads input; supply state0")
     if state == "":
         return ((Pure(UNIT), "", fuel),)
-    return ((Pure(Ch(state[0])), state[1:], fuel),)
+    return ((Pure(_CHARS.get(state[0]) or Ch(state[0])), state[1:], fuel),)
 
 
 def results_demonic(

@@ -58,6 +58,17 @@ BENCH_GRAMMARS = {
     "palindrome": ("P -> 'a' P 'a' | 'b' P 'b' | 'a' | 'b' |\n", "P", "ab"),
 }
 
+#: Grammars whose bodies the left-factoring splits in several places: runs
+#: of productions led by terminals, broken by a nonterminal-led production
+#: that can read the same first character, terminals that lead more than
+#: one production of a run, a run's production with nothing after its
+#: terminal, and empty productions.
+ORDER_SENSITIVE = (
+    ("S -> 'a' S | A | 'a' 'b' | 'b' S |\nA -> 'a' |\n", "S", "ab"),
+    ("S -> 'a' 'a' S | 'b' | 'a' S 'b' | T 'a' | 'a' | 'b' S | 'a'\nT -> 'b' 'a' | 'a' T |\n", "S", "ab"),
+    ("S -> A 'b' | 'b' A | 'a' | 'b' | 'a' S A\nA -> 'a' A 'a' | 'b' | 'a' |\n", "S", "ab"),
+)
+
 
 def random_acyclic_grammar(rng: random.Random) -> tuple[Grammar, Nonterminal]:
     """Up to three nonterminals, each with one to three productions.
@@ -90,6 +101,8 @@ def _cases() -> list[tuple[str, Grammar, Nonterminal, list[str]]]:
         cases.append((name, grammar_from_text(text), Nonterminal(start), texts))
     for text, start, alphabet in ACYCLIC_FAMILY:
         cases.append((text, grammar_from_text(text), Nonterminal(start), strings_up_to(4, alphabet)))
+    for text, start, alphabet in ORDER_SENSITIVE:
+        cases.append((text, grammar_from_text(text), Nonterminal(start), strings_up_to(5, alphabet)))
     rng = random.Random(20)
     for n in range(40):
         g, start = random_acyclic_grammar(rng)

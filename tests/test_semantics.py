@@ -28,6 +28,8 @@ from effparse.core import (
     symbol_maybe,
     symbol_strict,
 )
+from effparse import semantics
+from effparse.handlers import run_parser
 from effparse.semantics import (
     PARSER_SEMANTICS,
     EnumerationOverflowError,
@@ -353,3 +355,22 @@ def test_in_language_accepts_vacuously_when_no_parse_survives() -> None:
 def test_in_language_requires_the_parser_row() -> None:
     with pytest.raises(RowError):
         in_language(fail(NONDET_ROW), "a")
+
+
+def test_reads_past_the_first_256_code_points_leave_the_char_table_as_it_is() -> None:
+    """The interpreter answers reads of the first 256 code points from one
+    table; reads of any other character must not add to it."""
+    text = "".join(chr(0x100 + i) for i in range(10_000))
+
+    def strict(last: Value) -> Computation:
+        return choice(bind(symbol_strict(PARSER_ROW), strict), pure(last), PARSER_ROW)
+
+    def maybe(last: Value) -> Computation:
+        return bind(symbol_maybe(MAYBE_ROW), lambda c: pure(last) if c == UNIT else maybe(c))
+
+    assert len(semantics._CHARS) == 256
+    assert run_parser(strict(UNIT), text) == ((Ch(text[-1]), ""),)
+    assert results_demonic(maybe(UNIT), state0=text) == ((Ch(text[-1]), ""),)
+    assert len(semantics._CHARS) == 256
+    # Reads of the table's characters answer from it.
+    assert run_parser(strict(UNIT), "\xff")[0][0] is semantics._CHARS["\xff"]
