@@ -257,7 +257,8 @@ class _Index:
 
     Productions grouped by left-hand side, and, as first asked for, two
     bodies and two call steps per nonterminal (plain and end-anchored),
-    each call's input mapped back to the two.  Computations are immutable and
+    bodies by name, and each call's input by ``id`` (the entry keeps the
+    ``id`` from reuse) back to the two.  Computations are immutable and
     their resumptions pure, so every parse of the grammar can share them.
     The index lives on its grammar and is dropped with it.
     """
@@ -270,16 +271,16 @@ class _Index:
             by_lhs.setdefault(production.lhs, []).append(production)
         self.by_lhs = {a: tuple(ps) for a, ps in by_lhs.items()}
         # Both indexed by the anchored flag: plain first, anchored second.
-        self.bodies: tuple[dict[Nonterminal, Computation], ...] = ({}, {})
+        self.bodies: tuple[dict[str, Computation], ...] = ({}, {})
         self.steps: tuple[dict[Nonterminal, Computation], ...] = ({}, {})
-        self.callees: dict[Value, tuple[Nonterminal, bool]] = {}
+        self.callees: dict[int, tuple[Value, Nonterminal, bool]] = {}
 
     def step(self, a: Nonterminal, anchored: bool = False) -> Computation:
         m = self.steps[anchored].get(a)
         if m is None:
             payload = PairV(Str(a.name), _END) if anchored else Str(a.name)
             m = self.steps[anchored][a] = call(CFG_ROW, payload)
-            self.callees[payload] = (a, anchored)
+            self.callees[id(payload)] = (payload, a, anchored)
         return m
 
 
@@ -368,7 +369,7 @@ def from_prods(g: Grammar, a: Nonterminal, anchored: bool = False) -> Computatio
     call for ``a`` and shared by every later one.
     """
     bodies = _index(g).bodies[anchored]
-    body = bodies.get(a)
+    body = bodies.get(a.name)
     if body is None:
         alternatives: list[Computation] = []
         for led, run in groupby(filter_lhs(g, a), lambda p: bool(p.rhs) and isinstance(p.rhs[0], Term)):
@@ -380,7 +381,7 @@ def from_prods(g: Grammar, a: Nonterminal, anchored: bool = False) -> Computatio
                 rests.setdefault(p.rhs[0].char, []).append(build_parser(g, p.rhs[1:], (), p, anchored))
             table = {c: choices(ms, CFG_ROW) for c, ms in rests.items()}
             alternatives.append(_read(lambda response, table=table: table.get(response.char, _DEAD)))
-        body = bodies[a] = choices(alternatives, CFG_ROW)
+        body = bodies[a.name] = choices(alternatives, CFG_ROW)
     return body
 
 
@@ -393,8 +394,10 @@ def from_prods_fn(g: Grammar) -> RecursiveFn:
     callees = _index(g).callees
 
     def body(value: Value) -> Computation:
-        if (callee := callees.get(value)) is not None:
-            return from_prods(g, *callee)
+        # The grammar's own call inputs are found by identity, without a hash.
+        callee = callees.get(id(value))
+        if callee is not None and callee[0] is value:
+            return from_prods(g, callee[1], callee[2])
         if isinstance(value, Str):
             return from_prods(g, Nonterminal(value.text))
         if isinstance(value, PairV) and isinstance(value.first, Str) and value.second == _END:

@@ -11,6 +11,12 @@ constant time by queueing its continuation on the resumption.
 Effects are identified by :class:`EffectId` and grouped into an ordered
 :class:`EffectRow`; every ``Op`` node names its effect by position in the
 row, and construction checks that the position agrees with the command.
+
+Interpreters build ``Pure`` and ``Op`` nodes on most steps, so these skip
+the frozen dataclass ``__init__`` (a slow ``object.__setattr__`` per field)
+and set their slots through the slot descriptors; ``==``, ``hash``,
+``repr``, weak references, copies and pickles stay, and every ``Op`` still
+runs both row checks, in ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -170,6 +176,11 @@ class CommandKind(Enum):
     CALL = "call"
 
 
+#: Compared on every interpreter step; a global load is cheaper than an Enum's.
+_KIND_CHOICE, _KIND_FAIL = CommandKind.CHOICE, CommandKind.FAIL
+_KIND_SYMBOL, _KIND_CALL = CommandKind.SYMBOL, CommandKind.CALL
+_PARSER_STRICT, _REC = EffectId.PARSER_STRICT, EffectId.REC
+
 _KINDS_BY_EFFECT: dict[EffectId, frozenset[CommandKind]] = {
     EffectId.NONDET: frozenset({CommandKind.CHOICE, CommandKind.FAIL}),
     EffectId.PARSER_MAYBE: frozenset({CommandKind.SYMBOL}),
@@ -254,14 +265,21 @@ class Computation:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pure(Computation):
     """A finished computation holding its result."""
 
+    __slots__ = ("value", "__weakref__")
     value: Value
 
+    def __init__(self, value: Value) -> None:
+        _set_value(self, value)
 
-@dataclass(frozen=True, eq=False)
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.value,))
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Op(Computation):
     """An issued command plus a resumption from responses to continuations.
 
@@ -270,10 +288,18 @@ class Op(Computation):
     them under an interpreter and comparing results.
     """
 
+    __slots__ = ("row", "index", "command", "resume", "__weakref__")
     row: EffectRow
     index: int
     command: Command
     resume: Callable[[Value], Computation]
+
+    def __init__(self, row: EffectRow, index: int, command: Command, resume: Callable[[Value], Computation]) -> None:
+        _set_row(self, row)
+        _set_index(self, index)
+        _set_command(self, command)
+        _set_resume(self, resume)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0 <= self.index < len(self.row.effects):
@@ -283,6 +309,14 @@ class Op(Computation):
                 f"command effect {self.command.effect.value} does not sit at "
                 f"position {self.index} of row {self.row.effects}"
             )
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.row, self.index, self.command, self.resume))
+
+
+#: The slot descriptors' setters, which the two classes' ``__init__`` store through.
+_set_value = Pure.__dict__["value"].__set__
+_set_row, _set_index, _set_command, _set_resume = (Op.__dict__[f].__set__ for f in ("row", "index", "command", "resume"))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +384,7 @@ class _Queued:
 def _graft(m: Op, queue: _Queue) -> Computation:
     """``m`` with ``queue`` run on each of its results."""
     command = m.command
-    if command.kind is CommandKind.FAIL:
+    if command.kind is _KIND_FAIL:
         return m
     resume = m.resume
     if type(resume) is _Queued:
@@ -396,7 +430,8 @@ def choice(left: Computation, right: Computation, row: EffectRow | None = None) 
             row = right.row
         else:
             row = NONDET_ROW
-    return _op(row, _CHOICE, lambda response: left if response is TRUE or response == TRUE else right)
+    # Responses are TRUE or FALSE themselves but for equal Bools built elsewhere.
+    return _op(row, _CHOICE, lambda r: left if r is TRUE else right if r is FALSE else left if r == TRUE else right)
 
 
 def choices(branches: Sequence[Computation] | Iterable[Computation], row: EffectRow = NONDET_ROW) -> Computation:

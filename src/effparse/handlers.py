@@ -43,6 +43,8 @@ from .core import (
     Str,
     UNIT,
     Value,
+    _KIND_CALL,
+    _REC,
     fmap,
 )
 from .semantics import SemanticsRow, _drive, _read_optional, wp_stateful
@@ -229,7 +231,7 @@ def _unfold(f: RecursiveFn, m: Computation, fuel: int, dry: Computation) -> Comp
                 m = resume(m.value)
                 continue
             assert isinstance(m, Op)
-            if m.command.effect is not EffectId.REC:
+            if m.command.effect is not _REC:
                 resume = m.resume
                 return Op(tail, m.index - 1, m.command, lambda response: go(resume(response), konts, fuel))
             if m.index != 0:
@@ -298,7 +300,7 @@ def run_with_fuel(
     """
 
     def expand(command: Command, state: str | None, remaining: int) -> tuple:
-        if command.kind is not CommandKind.CALL:
+        if command.kind is not _KIND_CALL:
             return _read_optional(state, remaining)
         if remaining == 0:
             raise _OutOfFuel

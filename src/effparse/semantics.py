@@ -34,7 +34,6 @@ from .core import (
     UNIT,
     Ch,
     Command,
-    CommandKind,
     Computation,
     EffectId,
     EffectRow,
@@ -45,6 +44,11 @@ from .core import (
     TRUE,
     FALSE,
     Value,
+    _KIND_CALL,
+    _KIND_CHOICE,
+    _KIND_FAIL,
+    _KIND_SYMBOL,
+    _PARSER_STRICT,
 )
 
 __all__ = [
@@ -155,9 +159,9 @@ class Invariant:
 
 
 def _choose(name: str, command: Command, state: str | None) -> Branches:
-    if command.kind is CommandKind.FAIL:
+    if command.kind is _KIND_FAIL:
         return ()
-    if command.kind is CommandKind.CHOICE:
+    if command.kind is _KIND_CHOICE:
         return ((TRUE, state), (FALSE, state))
     raise RowError(f"{name} cannot interpret {command.kind.value}")
 
@@ -181,7 +185,7 @@ def pt_rec(inv: Invariant) -> PredicateTransformer:
     """
 
     def branches(command: Command, state: str | None) -> Branches:
-        if command.kind is not CommandKind.CALL:
+        if command.kind is not _KIND_CALL:
             raise RowError(f"pt_rec cannot interpret {command.kind.value}")
         return [(output, state) for output in inv.outputs_for(command.payload)]
 
@@ -189,7 +193,7 @@ def pt_rec(inv: Invariant) -> PredicateTransformer:
 
 
 def _read(name: str, command: Command, state: str | None) -> str:
-    if command.kind is not CommandKind.SYMBOL:
+    if command.kind is not _KIND_SYMBOL:
         raise RowError(f"{name} cannot interpret {command.kind.value}")
     if state is None:
         raise ValueError("symbol read without a parser state")
@@ -201,7 +205,7 @@ def pt_parse_strict() -> PredicateTransformer:
 
     def branches(command: Command, state: str | None) -> Branches:
         text = _read("pt_parse_strict", command, state)
-        return ((Ch(text[0]), text[1:]),) if text else ()
+        return ((_CHARS.get(text[0]) or Ch(text[0]), text[1:]),) if text else ()
 
     return PredicateTransformer(EffectId.PARSER_STRICT, True, branches)
 
@@ -215,7 +219,7 @@ def pt_parser_maybe() -> PredicateTransformer:
 
     def branches(command: Command, state: str | None) -> Branches:
         text = _read("pt_parser_maybe", command, state)
-        return ((Ch(text[0]), text[1:]),) if text else ((UNIT, ""),)
+        return ((_CHARS.get(text[0]) or Ch(text[0]), text[1:]),) if text else ((UNIT, ""),)
 
     return PredicateTransformer(EffectId.PARSER_MAYBE, True, branches)
 
@@ -320,8 +324,10 @@ _Branch = tuple[Computation, "str | None", int]
 _CommandRule = Callable[[Command, "str | None", int], Sequence[_Branch]]
 
 _PURE_FALSE = Pure(FALSE)
-#: Responses to reads of the first 256 code points; other reads build their own.
+#: Responses to reads of the first 256 code points, bare for strict reads and
+#: as finished computations for optional ones; other reads build their own.
 _CHARS = {chr(i): Ch(chr(i)) for i in range(256)}
+_PURE_CHARS = {c: Pure(ch) for c, ch in _CHARS.items()}
 
 
 def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> list[tuple[Value, str | None]]:
@@ -335,6 +341,9 @@ def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> 
     each branch carries its continuations as a linked list ``(resume,
     rest)``, so entering a call pushes the call's resumption rather than
     binding the callee's body to it.  Depth is bounded by memory alone.
+    Each step costs a constant: commands are compared with module constants,
+    not Enum members, and each ``Op`` was checked when built (its index is in
+    its row, and its command's effect sits there), so none is checked here.
     """
     leaves: list[tuple[Value, str | None]] = []
     work: list[tuple[Computation, str | None, int, tuple | None]] = [(m, state, fuel, None)]
@@ -350,12 +359,12 @@ def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> 
                 continue
             assert isinstance(m, Op)
             command = m.command
-            if command.kind is CommandKind.CHOICE:
+            if command.kind is _KIND_CHOICE:
                 work.append((_PURE_FALSE, state, fuel, (m.resume, konts)))
                 m = m.resume(TRUE)
-            elif command.kind is CommandKind.FAIL:
+            elif command.kind is _KIND_FAIL:
                 break
-            elif command.effect is EffectId.PARSER_STRICT:
+            elif command.effect is _PARSER_STRICT:
                 if state is None:
                     raise ValueError("computation reads input; supply state0")
                 if state == "":
@@ -366,8 +375,9 @@ def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> 
                 branches = rule(command, state, fuel)
                 if not branches:
                     break
-                for branch_m, branch_state, branch_fuel in reversed(branches[1:]):
-                    work.append((branch_m, branch_state, branch_fuel, konts))
+                if len(branches) > 1:
+                    for branch_m, branch_state, branch_fuel in reversed(branches[1:]):
+                        work.append((branch_m, branch_state, branch_fuel, konts))
                 m, state, fuel = branches[0]
     return leaves
 
@@ -378,7 +388,7 @@ def _read_optional(state: str | None, fuel: int) -> tuple[_Branch]:
         raise ValueError("computation reads input; supply state0")
     if state == "":
         return ((Pure(UNIT), "", fuel),)
-    return ((Pure(_CHARS.get(state[0]) or Ch(state[0])), state[1:], fuel),)
+    return ((_PURE_CHARS.get(state[0]) or Pure(Ch(state[0])), state[1:], fuel),)
 
 
 def results_demonic(
@@ -399,7 +409,7 @@ def results_demonic(
     """
 
     def answer(command: Command, state: str | None, fuel: int) -> Sequence[_Branch]:
-        if command.kind is not CommandKind.CALL:
+        if command.kind is not _KIND_CALL:
             return _read_optional(state, fuel)
         if rec_inv is None:
             raise MissingInvariantError(

@@ -42,7 +42,7 @@ from effparse.cfg import (
     spec_produce,
 )
 from effparse import cfg
-from effparse.core import PARSER_ROW, Str, fail
+from effparse.core import PARSER_ROW, UNIT, Ch, PairV, Str, fail
 from effparse.handlers import Done, Exhausted, TerminationInvariantError, _unfold, run_parser_prefix, run_with_fuel
 from effparse.semantics import PARSER_SEMANTICS, in_language
 
@@ -245,6 +245,21 @@ def test_a_body_is_built_once_per_grammar_and_dies_with_it() -> None:
     del g, body
     gc.collect()
     assert gone() is None
+
+
+def test_call_inputs_find_their_bodies_by_identity_or_by_equality() -> None:
+    """The grammar's own call inputs are found by identity; equal inputs
+    built elsewhere reach the same bodies, and other inputs are refused."""
+    g = grammar_from_text(BENCH_GRAMMARS["expression"][0])
+    E = Nonterminal("E")
+    body = from_prods_fn(g).body
+    for anchored, fresh in ((False, Str("E")), (True, PairV(Str("E"), Str("")))):
+        own = cfg._index(g).step(E, anchored).command.payload
+        assert own == fresh and own is not fresh
+        assert body(own) is body(fresh) is from_prods(g, E, anchored)
+    for other in (Ch("E"), UNIT, PairV(Str("E"), Str("x")), PairV(Ch("E"), Str(""))):
+        with pytest.raises(TypeError):
+            body(other)
 
 
 def test_chain_bound_agrees_with_the_recursive_search() -> None:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
 from effparse.core import (
     FALSE,
+    Bool,
     NONDET_ROW,
     PARSER_ROW,
     TRUE,
@@ -105,12 +110,47 @@ def test_op_index_must_align_with_command_effect() -> None:
         Op(PARSER_ROW, 0, cmd, Pure)
     with pytest.raises(RowError):
         Op(PARSER_ROW, 2, cmd, Pure)
+    with pytest.raises(RowError):
+        Op(PARSER_ROW, -1, cmd, Pure)
+    # Every way of building one runs the checks: keywords, replace, and
+    # copies and pickles, which rebuild through the constructor.
+    op = Op(row=PARSER_ROW, index=1, command=cmd, resume=Pure)
+    with pytest.raises(RowError):
+        dataclasses.replace(op, index=0)
+    assert op.__reduce__() == (Op, (PARSER_ROW, 1, cmd, Pure))
 
 
 def test_ops_compare_by_identity() -> None:
     a, b = fail(), fail()
     assert a == a
     assert a != b
+    assert hash(a) == object.__hash__(a)
+
+
+def test_hot_nodes_keep_the_frozen_dataclass_contracts() -> None:
+    """``Pure`` and ``Op`` are built without the dataclass ``__init__`` but
+    keep what it gave: frozen fields, ``==``, ``hash`` and ``repr`` from
+    the fields, weak references, copies and pickles."""
+    cmd = Command(EffectId.PARSER_STRICT, CommandKind.SYMBOL)
+    value, op = Pure(Ch("a")), Op(PARSER_ROW, 1, cmd, Pure)
+    assert [f.name for f in dataclasses.fields(Pure)] == ["value"]
+    assert [f.name for f in dataclasses.fields(Op)] == ["row", "index", "command", "resume"]
+    for node, fields in ((value, ("value",)), (op, ("row", "index", "command", "resume"))):
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+        assert weakref.ref(node)() is node
+    assert value == Pure(Ch("a")) and hash(value) == hash(Pure(Ch("a"))) == hash((Ch("a"),))
+    assert value != Pure(Ch("b")) and value != Ch("a")
+    assert repr(value) == "Pure(value=Ch(char='a'))"
+    assert repr(op) == f"Op(row={PARSER_ROW!r}, index=1, command={cmd!r}, resume={Pure!r})"
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert clone == value and clone is not value
+    for clone in (copy.copy(op), copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
+        assert clone is not op and clone != op
+        assert (clone.row, clone.index, clone.command, clone.resume) == (PARSER_ROW, 1, cmd, Pure)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +169,10 @@ def test_choice_resumes_true_left_false_right() -> None:
     m = choice(pure(Ch("l")), pure(Ch("r")))
     assert m.resume(TRUE) == Pure(Ch("l"))
     assert m.resume(FALSE) == Pure(Ch("r"))
+    # Equal booleans built elsewhere pick the same branches as the constants.
+    assert Bool(True) is not TRUE and Bool(False) is not FALSE
+    assert m.resume(Bool(True)) is m.resume(TRUE)
+    assert m.resume(Bool(False)) is m.resume(FALSE)
 
 
 def test_choices_of_nothing_is_fail() -> None:

@@ -16,6 +16,7 @@ from effparse.core import (
     EffectRow,
     FALSE,
     TRUE,
+    Pure,
     RowError,
     Str,
     Value,
@@ -368,9 +369,11 @@ def test_reads_past_the_first_256_code_points_leave_the_char_table_as_it_is() ->
     def maybe(last: Value) -> Computation:
         return bind(symbol_maybe(MAYBE_ROW), lambda c: pure(last) if c == UNIT else maybe(c))
 
-    assert len(semantics._CHARS) == 256
+    assert len(semantics._CHARS) == len(semantics._PURE_CHARS) == 256
     assert run_parser(strict(UNIT), text) == ((Ch(text[-1]), ""),)
     assert results_demonic(maybe(UNIT), state0=text) == ((Ch(text[-1]), ""),)
-    assert len(semantics._CHARS) == 256
-    # Reads of the table's characters answer from it.
+    assert len(semantics._CHARS) == len(semantics._PURE_CHARS) == 256
+    # Reads of the tables' characters answer from them, strict and optional.
     assert run_parser(strict(UNIT), "\xff")[0][0] is semantics._CHARS["\xff"]
+    assert semantics._read_optional("\xffa", 0)[0][0] is semantics._PURE_CHARS["\xff"]
+    assert semantics._read_optional("\u0100a", 0) == ((Pure(Ch("\u0100")), "a", 0),)
