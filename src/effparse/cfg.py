@@ -22,9 +22,11 @@ cyclic grammars workable; this library just reports them.)
 :func:`parse` gives every parse of every prefix, as the paper does.
 :func:`parse_full` gives the parses of the whole input only, from a second,
 end-anchored body per nonterminal: the augmented grammar ``S' -> S $`` of
-LR parsing (Knuth 1965) pushed into tail positions, so a parse that stops
-short of the end dies where it arises instead of climbing back through its
-callers.  It makes the same calls, so it runs dry on the same budgets.
+LR parsing (Knuth 1965) with the end marker pushed into tail calls, so a
+parse that stops short of the end dies where it arises instead of climbing
+back through its callers.  So is every terminal right after a nonterminal:
+``'(' S ')' S`` calls the inner ``S`` with the follow ``')'``, which that
+body reads itself.  The calls stay, so they run dry on the same budgets.
 
 :func:`spec_produce` is the independent oracle: a direct brute-force
 enumeration of the derivation relation, prefix or anchored, against which
@@ -202,17 +204,30 @@ class Grammar:
         return {"productions": self.productions}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SemValue:
     """A derivation node: which nonterminal, which production, which children.
 
     Children line up, in order, with the nonterminal symbols of the
-    production's right-hand side; terminals contribute no child.
+    production's right-hand side; terminals contribute no child.  Built as
+    ``core.NodeV`` is, without the frozen dataclass ``__init__``.
     """
 
+    __slots__ = ("nt", "production", "children", "__weakref__")
     nt: Nonterminal
     production: int
     children: tuple["SemValue", ...]
+
+    def __init__(self, nt: Nonterminal, production: int, children: tuple["SemValue", ...]) -> None:
+        _set_nt(self, nt)
+        _set_production(self, production)
+        _set_children(self, children)
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.nt, self.production, self.children))
+
+
+_set_nt, _set_production, _set_children = (SemValue.__dict__[f].__set__ for f in ("nt", "production", "children"))
 
 
 @dataclass(frozen=True)
@@ -255,10 +270,10 @@ def _sem_value_shape(value: SemValue) -> Shape:
 class _Index:
     """The input-independent parts of a grammar's parser, built once.
 
-    Productions grouped by left-hand side, and, as first asked for, two
-    bodies and two call steps per nonterminal (plain and end-anchored),
-    bodies by name, and each call's input by ``id`` (the entry keeps the
-    ``id`` from reuse) back to the two.  Computations are immutable and
+    Productions grouped by left-hand side, and, as first asked for, bodies
+    and call steps keyed by ``(name, follow)`` (see :func:`build_parser`),
+    and each call's input by ``id`` (the entry keeps the ``id`` from reuse)
+    back to its nonterminal and follow.  Computations are immutable and
     their resumptions pure, so every parse of the grammar can share them.
     The index lives on its grammar and is dropped with it.
     """
@@ -270,17 +285,16 @@ class _Index:
         for production in g.productions:
             by_lhs.setdefault(production.lhs, []).append(production)
         self.by_lhs = {a: tuple(ps) for a, ps in by_lhs.items()}
-        # Both indexed by the anchored flag: plain first, anchored second.
-        self.bodies: tuple[dict[str, Computation], ...] = ({}, {})
-        self.steps: tuple[dict[Nonterminal, Computation], ...] = ({}, {})
-        self.callees: dict[int, tuple[Value, Nonterminal, bool]] = {}
+        self.bodies: dict[tuple[str, str | None], Computation] = {}
+        self.steps: dict[tuple[str, str | None], Computation] = {}
+        self.callees: dict[int, tuple[Value, Nonterminal, str | None]] = {}
 
-    def step(self, a: Nonterminal, anchored: bool = False) -> Computation:
-        m = self.steps[anchored].get(a)
+    def step(self, a: Nonterminal, follow: str | None = None) -> Computation:
+        m = self.steps.get((a.name, follow))
         if m is None:
-            payload = PairV(Str(a.name), _END) if anchored else Str(a.name)
-            m = self.steps[anchored][a] = call(CFG_ROW, payload)
-            self.callees[id(payload)] = (payload, a, anchored)
+            payload = Str(a.name) if follow is None else PairV(Str(a.name), Str(follow))
+            m = self.steps[a.name, follow] = call(CFG_ROW, payload)
+            self.callees[id(payload)] = (payload, a, follow)
         return m
 
 
@@ -304,7 +318,7 @@ def exact(c: str, row: EffectRow = CFG_ROW) -> Computation:
     return bind(symbol_strict(row), lambda response: done if response == expected else dead)
 
 
-#: What an anchored call must leave unread; its input is ``PairV(name, _END)``.
+#: The follow of an anchored call, whose input is ``PairV(name, _END)``.
 _END = Str("")
 
 #: The end-of-input check is an optional read, which answers ``UNIT`` only
@@ -322,7 +336,7 @@ def build_parser(
     rhs: tuple[GSymbol, ...],
     acc: tuple = (),
     last: Production | None = None,
-    anchored: bool = False,
+    follow: str | None = None,
 ) -> Computation:
     """Walk a right-hand side, collecting one child per nonterminal.
 
@@ -330,23 +344,40 @@ def build_parser(
     the recursion effect.  By default each child is the call's response
     and the walk delivers the children as a list value.  Given the
     production ``last`` being walked, each child is the derivation node
-    the response carries, and the walk delivers ``last``'s own node.  An
-    ``anchored`` walk delivers only at the end of the input: a last
-    nonterminal is an anchored call, and after a last terminal, or for an
-    empty right-hand side, an end-of-input check comes last.
+    the response carries, and the walk delivers ``last``'s own node.
+
+    ``follow`` says what must come right after the walk: anything
+    (``None``), the end of the input (``""``), or the terminal it names,
+    which the walk consumes.  A nonterminal right before a terminal is
+    called with that terminal as its follow, and the walk skips it; a last
+    nonterminal gets the walk's follow.  After a last terminal, or for an
+    empty right-hand side, the walk checks its follow itself (an end check
+    or a strict read).  So a parse the next terminal turns away dies in
+    the callee instead of climbing back through its callers.
     """
     index, n = _index(g), len(rhs)
+    after = [s.char if isinstance(s, Term) else None for s in rhs[1:]] + [follow]
     # Each call is looked up once, when the walk is built, not on every run.
-    calls = [None if isinstance(s, Term) else index.step(s.nonterminal, anchored and i == n - 1) for i, s in enumerate(rhs)]
-    check = anchored and (n == 0 or calls[-1] is None)
+    # A step is a call, a character to read, or "" for the end check.
+    steps: list = []
+    for i, s in enumerate(rhs):
+        if isinstance(s, NonTerm):
+            steps.append(index.step(s.nonterminal, after[i]))
+        elif i == 0 or isinstance(rhs[i - 1], Term):
+            steps.append(s.char)
+    if follow is not None and (n == 0 or isinstance(rhs[-1], Term)):
+        steps.append(follow)
+    m = len(steps)
 
     def walk(i: int, acc: tuple) -> Computation:
-        if i == n:
-            done = pure(ListV(acc)) if last is None else pure(NodeV(SemValue(last.lhs, last.index, acc)))
-            return _read_end(lambda response: done if response == UNIT else _DEAD) if check else done
-        if calls[i] is None:
-            return _read(lambda response: walk(i + 1, acc) if response.char == rhs[i].char else _DEAD)
-        return bind(calls[i], lambda child: walk(i + 1, acc + (child if last is None else _node_of(child),)))
+        if i == m:
+            return pure(ListV(acc)) if last is None else pure(NodeV(SemValue(last.lhs, last.index, acc)))
+        step = steps[i]
+        if type(step) is not str:
+            return bind(step, lambda child: walk(i + 1, acc + (child if last is None else _node_of(child),)))
+        if step:
+            return _read(lambda response: walk(i + 1, acc) if response.char == step else _DEAD)
+        return _read_end(lambda response: walk(i + 1, acc) if response == UNIT else _DEAD)
 
     return walk(0, acc)
 
@@ -357,39 +388,41 @@ def _node_of(value: Value) -> SemValue:
     return value.node
 
 
-def from_prods(g: Grammar, a: Nonterminal, anchored: bool = False) -> Computation:
+def from_prods(g: Grammar, a: Nonterminal, follow: str | None = None) -> Computation:
     """Parse ``a``: choose one of its productions and walk it.
 
     Left-factored: each consecutive run of terminal-led productions reads
     once and goes on, in grammar order, with those the character starts; the
     rest would make no call and give nothing, so results, calls, fuel agree.
-    A nonterminal with no productions parses nothing.  An ``anchored``
-    parse walks each production anchored (see :func:`build_parser`), so it
-    ends at the end of the input.  The computation is built on the first
-    call for ``a`` and shared by every later one.
+    A nonterminal with no productions parses nothing.  Each production is
+    walked with ``follow`` (see :func:`build_parser`): all prefix parses
+    for ``None``, those that end the input for ``""``, and those followed
+    by ``t`` for ``t``, consumed.  The computation is built on the first
+    call for ``a`` and ``follow`` and shared by every later one.
     """
-    bodies = _index(g).bodies[anchored]
-    body = bodies.get(a.name)
+    bodies = _index(g).bodies
+    body = bodies.get((a.name, follow))
     if body is None:
         alternatives: list[Computation] = []
         for led, run in groupby(filter_lhs(g, a), lambda p: bool(p.rhs) and isinstance(p.rhs[0], Term)):
             if not led:
-                alternatives.extend(build_parser(g, p.rhs, (), p, anchored) for p in run)
+                alternatives.extend(build_parser(g, p.rhs, (), p, follow) for p in run)
                 continue
             rests: dict[str, list[Computation]] = {}
             for p in run:
-                rests.setdefault(p.rhs[0].char, []).append(build_parser(g, p.rhs[1:], (), p, anchored))
+                rests.setdefault(p.rhs[0].char, []).append(build_parser(g, p.rhs[1:], (), p, follow))
             table = {c: choices(ms, CFG_ROW) for c, ms in rests.items()}
             alternatives.append(_read(lambda response, table=table: table.get(response.char, _DEAD)))
-        body = bodies[a.name] = choices(alternatives, CFG_ROW)
+        body = bodies[a.name, follow] = choices(alternatives, CFG_ROW)
     return body
 
 
 def from_prods_fn(g: Grammar) -> RecursiveFn:
     """The grammar's parser as a recursive function on nonterminal names.
 
-    A name runs the plain body; the name paired with the empty remainder,
-    ``PairV(Str(name), Str(""))``, runs the anchored one.
+    A name, ``Str(name)``, runs the plain body; the name paired with a
+    follow, ``PairV(Str(name), Str(follow))``, runs that follow's body:
+    the anchored one for the empty follow, a terminal's for one character.
     """
     callees = _index(g).callees
 
@@ -400,9 +433,10 @@ def from_prods_fn(g: Grammar) -> RecursiveFn:
             return from_prods(g, callee[1], callee[2])
         if isinstance(value, Str):
             return from_prods(g, Nonterminal(value.text))
-        if isinstance(value, PairV) and isinstance(value.first, Str) and value.second == _END:
-            return from_prods(g, Nonterminal(value.first.text), True)
-        raise TypeError(f"call inputs are nonterminal names, alone or paired with Str(''), got {value!r}")
+        if isinstance(value, PairV) and isinstance(value.first, Str) and isinstance(value.second, Str):
+            if len(value.second.text) < 2:
+                return from_prods(g, Nonterminal(value.first.text), value.second.text)
+        raise TypeError(f"call inputs are nonterminal names, bare or with a follow of one character or none, got {value!r}")
 
     return RecursiveFn(CFG_ROW, body)
 
@@ -594,13 +628,14 @@ def parse_full(g: Grammar, a: Nonterminal, text: str, fuel: int | None = None) -
     """The parses of all of ``text`` as ``a``, in the order :func:`parse` gives.
 
     They are the results of :func:`parse` with an empty remainder, but the
-    run starts from ``a``'s anchored body, so a parse of a shorter prefix
-    dies where it arises.  Without ``fuel`` it runs as :func:`parse` does:
-    cyclic grammars are rejected, and running dry on the proven budget
-    raises.  Given ``fuel``, it skips the chain analysis, runs on that
-    budget, and returns :data:`~effparse.handlers.EXHAUSTED` if a path ran
-    dry: an anchored body makes the calls the plain one makes, so it runs
-    dry exactly when :func:`run_with_fuel` on the plain body does.
+    run starts from ``a``'s anchored body (the follow ``""``), so a parse of
+    a shorter prefix dies where it arises.  Without ``fuel`` it runs as
+    :func:`parse` does: cyclic grammars are rejected, and running dry on
+    the proven budget raises.  Given ``fuel``, it skips the chain analysis,
+    runs on that budget, and returns :data:`~effparse.handlers.EXHAUSTED`
+    if a path ran dry: an anchored body makes the calls the plain one
+    makes, in the same order, so it runs dry exactly when
+    :func:`run_with_fuel` on the plain body does.
     """
     outcome = _run(g, PairV(Str(a.name), _END), text, fuel)
     if not isinstance(outcome, Done):
@@ -644,15 +679,21 @@ def check_variant(g: Grammar, samples: Iterable[tuple[Nonterminal, str]]) -> boo
     queue: list[tuple[Nonterminal, str]] = list(samples)
 
     def answer(command: Command, state: str | None, fuel: int) -> list[tuple[Computation, str, int]]:
-        payload = command.payload
-        assert isinstance(payload, Str) and state is not None
-        callee = Nonterminal(payload.text)
+        name, follow = command.payload, None
+        if isinstance(name, PairV):
+            name, follow = name.first, name.second.text
+        assert isinstance(name, Str) and state is not None
+        callee = Nonterminal(name.text)
         shrinks = len(state) < len(start)
         linked = (caller, callee) in link_pairs and len(state) <= len(start)
         if not (shrinks or linked):
             raise _VariantBroken
         queue.append((callee, state))
-        return [(pure(NodeV(child)), remainder, fuel) for child, remainder in spec_produce(g, callee, state)]
+        results = spec_produce(g, callee, state)
+        if follow is not None:
+            # The callee reads its follow: the remainder must start with it.
+            results = tuple((child, rest[1:]) for child, rest in results if rest[:1] == follow)
+        return [(pure(NodeV(child)), remainder, fuel) for child, remainder in results]
 
     while queue:
         entry = queue.pop(0)

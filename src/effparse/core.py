@@ -12,11 +12,11 @@ Effects are identified by :class:`EffectId` and grouped into an ordered
 :class:`EffectRow`; every ``Op`` node names its effect by position in the
 row, and construction checks that the position agrees with the command.
 
-Interpreters build ``Pure`` and ``Op`` nodes on most steps, so these skip
-the frozen dataclass ``__init__`` (a slow ``object.__setattr__`` per field)
-and set their slots through the slot descriptors; ``==``, ``hash``,
-``repr``, weak references, copies and pickles stay, and every ``Op`` still
-runs both row checks, in ``__post_init__``.
+Interpreters build ``Pure`` and ``Op`` nodes on most steps, and parsers a
+``NodeV`` per production, so these skip the frozen dataclass ``__init__`` (a
+slow ``object.__setattr__`` per field) and set their slots through the slot
+descriptors; ``==``, ``hash``, ``repr``, weak references, copies and pickles
+stay, and every ``Op`` still runs both row checks, in ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -135,11 +135,18 @@ class RegexV(Value):
     regex: "Regex"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NodeV(Value):
     """A grammar semantic value lifted into the value union."""
 
+    __slots__ = ("node", "__weakref__")
     node: "SemValue"
+
+    def __init__(self, node: "SemValue") -> None:
+        _set_node(self, node)
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.node,))
 
 
 @dataclass(frozen=True)
@@ -314,8 +321,8 @@ class Op(Computation):
         return (type(self), (self.row, self.index, self.command, self.resume))
 
 
-#: The slot descriptors' setters, which the two classes' ``__init__`` store through.
-_set_value = Pure.__dict__["value"].__set__
+#: The slot descriptors' setters, which the hot nodes' ``__init__`` store through.
+_set_node, _set_value = NodeV.__dict__["node"].__set__, Pure.__dict__["value"].__set__
 _set_row, _set_index, _set_command, _set_resume = (Op.__dict__[f].__set__ for f in ("row", "index", "command", "resume"))
 
 

@@ -192,6 +192,37 @@ def test_parse_full_runs_dry_on_the_budgets_parse_does(name: str, g: Grammar, st
                 assert isinstance(full, Exhausted)
 
 
+def _follows(g: Grammar) -> list[str]:
+    """Each terminal right after a nonterminal somewhere in ``g``, then one
+    terminal that never is (or a character ``g`` never reads)."""
+    follows = sorted(
+        {b.char for p in g.productions for a, b in zip(p.rhs, p.rhs[1:]) if isinstance(a, NonTerm) and isinstance(b, Term)}
+    )
+    terminals = {s.char for p in g.productions for s in p.rhs if isinstance(s, Term)}
+    return follows + [min(terminals - set(follows), default="#")]
+
+
+@pytest.mark.parametrize("name, g, start, texts", CASES, ids=[case[0] for case in CASES])
+def test_follow_calls_are_plain_calls_filtered_by_their_terminal(
+    name: str, g: Grammar, start: Nonterminal, texts: list[str]
+) -> None:
+    """A call followed by ``t`` gives the plain call's results that ``t``
+    follows, with ``t`` consumed, in order, and runs dry on the same budgets."""
+    bound = chain_bound(g).bound
+    assert bound is not None
+    fn = from_prods_fn(g)
+    for a in sorted(g.nonterminals, key=lambda nt: nt.name):
+        for t in _follows(g):
+            for text in texts:
+                for fuel in range(parse_fuel(len(text), bound) + 1):
+                    plain = run_with_fuel(fn, Str(a.name), fuel, state0=text)
+                    followed = run_with_fuel(fn, PairV(Str(a.name), Str(t)), fuel, state0=text)
+                    if isinstance(plain, Done):
+                        assert followed == Done(tuple((v, rest[1:]) for v, rest in plain.results if rest[:1] == t))
+                    else:
+                        assert isinstance(followed, Exhausted)
+
+
 @pytest.mark.parametrize("name, g, start, texts", CASES, ids=[case[0] for case in CASES])
 def test_parse_full_asks_for_as_many_bodies_as_the_plain_parser(
     name: str, g: Grammar, start: Nonterminal, texts: list[str], monkeypatch: pytest.MonkeyPatch
@@ -253,11 +284,17 @@ def test_call_inputs_find_their_bodies_by_identity_or_by_equality() -> None:
     g = grammar_from_text(BENCH_GRAMMARS["expression"][0])
     E = Nonterminal("E")
     body = from_prods_fn(g).body
-    for anchored, fresh in ((False, Str("E")), (True, PairV(Str("E"), Str("")))):
-        own = cfg._index(g).step(E, anchored).command.payload
+    # F -> '(' E ')' calls E with the follow ')': the grammar built that step.
+    parse(g, E, "(x)")
+    assert ("E", ")") in cfg._index(g).steps
+    # Plain, anchored, and followed by ')'.
+    for follow, fresh in ((None, Str("E")), ("", PairV(Str("E"), Str(""))), (")", PairV(Str("E"), Str(")")))):
+        own = cfg._index(g).step(E, follow).command.payload
         assert own == fresh and own is not fresh
-        assert body(own) is body(fresh) is from_prods(g, E, anchored)
-    for other in (Ch("E"), UNIT, PairV(Str("E"), Str("x")), PairV(Ch("E"), Str(""))):
+        assert body(own) is body(fresh) is from_prods(g, E, follow)
+    # A follow no right-hand side has is still one character.
+    assert body(PairV(Str("E"), Str("x"))) is from_prods(g, E, "x")
+    for other in (Ch("E"), UNIT, PairV(Str("E"), Str("))")), PairV(Str("E"), Ch(")")), PairV(Ch("E"), Str(""))):
         with pytest.raises(TypeError):
             body(other)
 

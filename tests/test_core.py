@@ -11,6 +11,7 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
+from effparse.cfg import Nonterminal, SemValue
 from effparse.core import (
     FALSE,
     Bool,
@@ -24,6 +25,7 @@ from effparse.core import (
     Computation,
     EffectId,
     EffectRow,
+    NodeV,
     Op,
     PairV,
     Pure,
@@ -128,26 +130,45 @@ def test_ops_compare_by_identity() -> None:
 
 
 def test_hot_nodes_keep_the_frozen_dataclass_contracts() -> None:
-    """``Pure`` and ``Op`` are built without the dataclass ``__init__`` but
-    keep what it gave: frozen fields, ``==``, ``hash`` and ``repr`` from
-    the fields, weak references, copies and pickles."""
+    """``Pure``, ``Op``, ``NodeV`` and ``SemValue`` are built without the
+    dataclass ``__init__`` but keep what it gave: frozen fields, ``==``,
+    ``hash`` and ``repr`` from the fields, ``dataclasses.fields`` and
+    ``replace``, weak references, copies and pickles."""
     cmd = Command(EffectId.PARSER_STRICT, CommandKind.SYMBOL)
     value, op = Pure(Ch("a")), Op(PARSER_ROW, 1, cmd, Pure)
-    assert [f.name for f in dataclasses.fields(Pure)] == ["value"]
-    assert [f.name for f in dataclasses.fields(Op)] == ["row", "index", "command", "resume"]
-    for node, fields in ((value, ("value",)), (op, ("row", "index", "command", "resume"))):
-        for name in fields:
+    S = Nonterminal("S")
+    leaf = SemValue(S, 1, ())
+    sem = SemValue(S, 0, (leaf,))
+    node = NodeV(sem)
+    fields = {
+        value: ("value",),
+        op: ("row", "index", "command", "resume"),
+        node: ("node",),
+        sem: ("nt", "production", "children"),
+    }
+    for hot, names in fields.items():
+        assert tuple(f.name for f in dataclasses.fields(hot)) == names
+        for name in names:
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(node, name, None)
+                setattr(hot, name, None)
             with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(node, name)
-        assert weakref.ref(node)() is node
+                delattr(hot, name)
+        assert weakref.ref(hot)() is hot and not hasattr(hot, "__dict__")
     assert value == Pure(Ch("a")) and hash(value) == hash(Pure(Ch("a"))) == hash((Ch("a"),))
     assert value != Pure(Ch("b")) and value != Ch("a")
     assert repr(value) == "Pure(value=Ch(char='a'))"
     assert repr(op) == f"Op(row={PARSER_ROW!r}, index=1, command={cmd!r}, resume={Pure!r})"
-    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert clone == value and clone is not value
+    twin = NodeV(SemValue(Nonterminal("S"), 0, (SemValue(Nonterminal("S"), 1, ()),)))
+    assert node == twin and hash(node) == hash(twin) == hash((sem,)) and hash(sem) == hash((S, 0, (leaf,)))
+    assert node != NodeV(leaf) and sem != leaf and node != sem and sem != (S, 0, (leaf,))
+    assert repr(leaf) == "SemValue(nt=Nonterminal(name='S'), production=1, children=())"
+    assert repr(node) == f"NodeV(node=SemValue(nt={S!r}, production=0, children=({leaf!r},)))"
+    assert dataclasses.replace(value, value=Ch("b")) == Pure(Ch("b"))
+    assert dataclasses.replace(node, node=leaf) == NodeV(leaf)
+    assert dataclasses.replace(sem, production=2) == SemValue(S, 2, (leaf,))
+    for equal in (value, node, sem):
+        for clone in (copy.copy(equal), copy.deepcopy(equal), pickle.loads(pickle.dumps(equal))):
+            assert clone == equal and clone is not equal
     for clone in (copy.copy(op), copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
         assert clone is not op and clone != op
         assert (clone.row, clone.index, clone.command, clone.resume) == (PARSER_ROW, 1, cmd, Pure)
