@@ -287,15 +287,28 @@ class _Index:
         self.by_lhs = {a: tuple(ps) for a, ps in by_lhs.items()}
         self.bodies: dict[tuple[str, str | None], Computation] = {}
         self.steps: dict[tuple[str, str | None], Computation] = {}
-        self.callees: dict[int, tuple[Value, Nonterminal, str | None]] = {}
+        self.callees: dict[int, tuple[Value, tuple[Nonterminal, str | None]]] = {}
 
     def step(self, a: Nonterminal, follow: str | None = None) -> Computation:
         m = self.steps.get((a.name, follow))
         if m is None:
             payload = Str(a.name) if follow is None else PairV(Str(a.name), Str(follow))
             m = self.steps[a.name, follow] = call(CFG_ROW, payload)
-            self.callees[id(payload)] = (payload, a, follow)
+            self.callees[id(payload)] = (payload, (a, follow))
         return m
+
+    def callee(self, value: Value) -> tuple[Nonterminal, str | None]:
+        """The nonterminal and follow a call input names: found by identity,
+        without a hash, if :meth:`step` built it, else taken apart."""
+        callee = self.callees.get(id(value))
+        if callee is not None and callee[0] is value:
+            return callee[1]
+        if isinstance(value, Str):
+            return (Nonterminal(value.text), None)
+        if isinstance(value, PairV) and isinstance(value.first, Str) and isinstance(value.second, Str):
+            if len(value.second.text) < 2:
+                return (Nonterminal(value.first.text), value.second.text)
+        raise TypeError(f"call inputs are nonterminal names, bare or with a follow of one character or none, got {value!r}")
 
 
 def _index(g: Grammar) -> _Index:
@@ -424,19 +437,10 @@ def from_prods_fn(g: Grammar) -> RecursiveFn:
     follow, ``PairV(Str(name), Str(follow))``, runs that follow's body:
     the anchored one for the empty follow, a terminal's for one character.
     """
-    callees = _index(g).callees
+    callee = _index(g).callee
 
     def body(value: Value) -> Computation:
-        # The grammar's own call inputs are found by identity, without a hash.
-        callee = callees.get(id(value))
-        if callee is not None and callee[0] is value:
-            return from_prods(g, callee[1], callee[2])
-        if isinstance(value, Str):
-            return from_prods(g, Nonterminal(value.text))
-        if isinstance(value, PairV) and isinstance(value.first, Str) and isinstance(value.second, Str):
-            if len(value.second.text) < 2:
-                return from_prods(g, Nonterminal(value.first.text), value.second.text)
-        raise TypeError(f"call inputs are nonterminal names, bare or with a follow of one character or none, got {value!r}")
+        return from_prods(g, *callee(value))
 
     return RecursiveFn(CFG_ROW, body)
 
@@ -679,11 +683,8 @@ def check_variant(g: Grammar, samples: Iterable[tuple[Nonterminal, str]]) -> boo
     queue: list[tuple[Nonterminal, str]] = list(samples)
 
     def answer(command: Command, state: str | None, fuel: int) -> list[tuple[Computation, str, int]]:
-        name, follow = command.payload, None
-        if isinstance(name, PairV):
-            name, follow = name.first, name.second.text
-        assert isinstance(name, Str) and state is not None
-        callee = Nonterminal(name.text)
+        callee, follow = _index(g).callee(command.payload)
+        assert state is not None
         shrinks = len(state) < len(start)
         linked = (caller, callee) in link_pairs and len(state) <= len(start)
         if not (shrinks or linked):

@@ -3,7 +3,7 @@
 Three ways of discharging effects live here:
 
 * :func:`run_parser` — the list-of-successes fold for nondeterminism plus
-  strict symbol reads.
+  symbol reads.
 * :func:`handle_rec` — folds a single-effect handler (such as
   :func:`h_parser`) over a recursive function's body, threading parser
   state into the recursive call inputs and leaving a shorter effect row.
@@ -16,12 +16,13 @@ computation's recursive calls all bottom out within a fuel bound, judging
 the other effects through a semantics row for the tail of the effect row.
 
 The runners share one iterative interpreter with
-:func:`~effparse.semantics.results_demonic` and the grammar checks; each
-says only what a recursive call means (reject it, expand it on fuel).  It
-keeps pending branches and continuations as data, not Python frames, so
-how deep a run may go is bounded by memory, not by
-``sys.getrecursionlimit()``.  The unfolding behind :func:`terminates_in`
-is likewise shared with :func:`~effparse.cfg.expanded_parser`.
+:func:`~effparse.semantics.results_demonic` and the grammar checks; it
+answers choices and reads, and each runner says only what a recursive call
+means (reject it, expand it on fuel).  It keeps pending branches and
+continuations as data, not Python frames, so a run's depth is bounded by
+memory, not by ``sys.getrecursionlimit()``.  :func:`handle_rec` and the
+unfolding behind :func:`terminates_in` and :func:`~effparse.cfg.expanded_parser`
+share one lazy walk; each says only what answering its command does.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, NoReturn
 
 from .core import (
-    Ch,
     Command,
     CommandKind,
     Computation,
@@ -41,13 +41,12 @@ from .core import (
     Pure,
     RowError,
     Str,
-    UNIT,
     Value,
     _KIND_CALL,
     _REC,
     fmap,
 )
-from .semantics import SemanticsRow, _drive, _read_optional, wp_stateful
+from .semantics import SemanticsRow, _drive, _next, wp_stateful
 
 __all__ = [
     "Done",
@@ -120,9 +119,9 @@ def _reject_command(command: Command, state: str | None, fuel: int) -> NoReturn:
 def run_parser(m: Computation, text: str) -> tuple[tuple[Value, str], ...]:
     """All complete parses of ``text`` by ``m``, in branch order.
 
-    ``m`` ranges over nondeterminism and strict symbol reads.  A parse
-    survives only if it consumes the whole input, so every returned
-    remainder is the empty string.
+    ``m`` ranges over nondeterminism and both kinds of symbol read, answered
+    as every runner answers them.  A parse survives only if it consumes the
+    whole input, so every returned remainder is the empty string.
     """
     return tuple(leaf for leaf in _drive(m, text, 0, _reject_command) if leaf[1] == "")
 
@@ -148,9 +147,39 @@ def h_parser(command: Command, state: str) -> tuple[Value, str]:
     """
     if command.effect is not EffectId.PARSER_MAYBE or command.kind is not CommandKind.SYMBOL:
         raise RowError(f"h_parser only answers optional symbol reads, got {command.kind.value}")
-    if state == "":
-        return (UNIT, "")
-    return (Ch(state[0]), state[1:])
+    return _next(state)
+
+
+def _walker(row: EffectRow, position: int, answer: Callable) -> Callable[..., Computation]:
+    """The lazy walk that handles the effect at ``position`` of a row.
+
+    ``answer(op, konts, state)`` answers each command up to ``position``
+    (the handled effect and, before it, recursion): it gives the triple to
+    walk on with, and the walk resumes in its loop, or a computation to
+    stop at.  Any later command is passed on over ``row``, one position
+    down.  ``konts`` is a linked list ``(resume, rest)`` of the callers'
+    continuations, so deep call nesting never nests ``bind``.  This is the
+    ``handle_relay`` loop of Kiselyov and Ishii (*Freer Monads, More
+    Extensible Effects*, Haskell 2015).
+    """
+
+    def walk(m: Computation, konts: tuple | None, state: object) -> Computation:
+        while True:
+            if isinstance(m, Pure):
+                if konts is None:
+                    return m
+                resume, konts = konts
+                m = resume(m.value)
+            elif m.index <= position:
+                step = answer(m, konts, state)
+                if type(step) is not tuple:
+                    return step
+                m, konts, state = step
+            else:
+                resume = m.resume
+                return Op(row, m.index - 1, m.command, lambda response: walk(resume(response), konts, state))
+
+    return walk
 
 
 def handle_rec(
@@ -169,35 +198,19 @@ def handle_rec(
         raise RowError("handle_rec needs a second effect to discharge")
     new_row = EffectRow((EffectId.REC,) + f.row.effects[2:])
 
-    def transform(m: Computation, state: str) -> Computation:
-        # Handled commands are answered in a loop, not by calling transform
-        # again, so a body's run of reads costs no Python frame per read.
-        while isinstance(m, Op) and m.index == 1:
+    def answer(m: Op, konts: None, state: str) -> tuple | Computation:
+        if m.index == 1:
             response, state = handler(m.command, state)
-            m = m.resume(response)
-        if isinstance(m, Pure):
-            return m
-        assert isinstance(m, Op)
-        resume = m.resume
-        if m.index == 0:
-            paired = PairV(m.command.payload, Str(state))
-            return Op(
-                new_row,
-                0,
-                Command(EffectId.REC, CommandKind.CALL, paired),
-                lambda output: transform(resume(output), state),
-            )
-        return Op(
-            new_row,
-            m.index - 1,
-            m.command,
-            lambda response: transform(resume(response), state),
-        )
+            return (m.resume(response), None, state)
+        resume, paired = m.resume, PairV(m.command.payload, Str(state))
+        return Op(new_row, 0, Command(_REC, _KIND_CALL, paired), lambda output: walk(resume(output), None, state))
+
+    walk = _walker(new_row, 1, answer)
 
     def body(paired_input: Value) -> Computation:
         if not isinstance(paired_input, PairV) or not isinstance(paired_input.second, Str):
             raise TypeError("handled recursive functions take PairV(input, Str(state))")
-        return transform(f.body(paired_input.first), paired_input.second.text)
+        return walk(f.body(paired_input.first), None, paired_input.second.text)
 
     return RecursiveFn(new_row, body)
 
@@ -217,30 +230,17 @@ def _unfold(f: RecursiveFn, m: Computation, fuel: int, dry: Computation) -> Comp
     The result runs over ``f``'s row without its head recursion effect,
     with every other command shifted one position down.  A call past the
     budget ends its path in ``dry``.  Unfolding is lazy, one command at a
-    time, and keeps the callers' continuations as a linked list, so deep
-    call nesting never nests ``bind``.
+    time, on the walk :func:`handle_rec` uses too.
     """
-    tail = EffectRow(f.row.effects[1:])
 
-    def go(m: Computation, konts: tuple | None, fuel: int) -> Computation:
-        while True:
-            if isinstance(m, Pure):
-                if konts is None:
-                    return m
-                resume, konts = konts
-                m = resume(m.value)
-                continue
-            assert isinstance(m, Op)
-            if m.command.effect is not _REC:
-                resume = m.resume
-                return Op(tail, m.index - 1, m.command, lambda response: go(resume(response), konts, fuel))
-            if m.index != 0:
-                raise RowError("recursion must sit at the head of the row")
-            if fuel == 0:
-                return dry
-            m, konts, fuel = f.body(m.command.payload), (m.resume, konts), fuel - 1
+    def answer(m: Op, konts: tuple | None, fuel: int) -> tuple | Computation:
+        if m.command.effect is not _REC:
+            raise RowError("recursion must sit at the head of the row")
+        if fuel == 0:
+            return dry
+        return (f.body(m.command.payload), (m.resume, konts), fuel - 1)
 
-    return go(m, None, fuel)
+    return _walker(EffectRow(f.row.effects[1:]), 0, answer)(m, None, fuel)
 
 
 def terminates_in(
@@ -300,8 +300,6 @@ def run_with_fuel(
     """
 
     def expand(command: Command, state: str | None, remaining: int) -> tuple:
-        if command.kind is not _KIND_CALL:
-            return _read_optional(state, remaining)
         if remaining == 0:
             raise _OutOfFuel
         return ((f.body(command.payload), state, remaining - 1),)

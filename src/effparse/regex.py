@@ -912,11 +912,11 @@ def dmatch_run(r: Regex, s: str) -> tuple[ParseTree, ...]:
     """All witnesses the derivative matcher finds for ``s`` against ``r``.
 
     Runs :func:`dmatch_fn` on the interpreter with ``s`` as its state,
-    which answers the optional reads, so no handler rebuilds the tree; the
-    witnesses, and their order, are those of :func:`dmatch_handled`.  Runs
-    with fuel exactly ``len(s)``: each recursive call consumes one
-    character first, so the budget provably suffices — running dry would
-    mean the termination argument itself is broken, and raises.
+    which answers the reads, so no handler walks the tree; the witnesses,
+    and their order, are those of :func:`dmatch_handled`.  Runs with fuel
+    exactly ``len(s)``: each recursive call consumes one character first,
+    so the budget provably suffices — running dry would mean the
+    termination argument itself is broken, and raises.
     """
     outcome = run_with_fuel(dmatch_fn(), RegexV(r), len(s), s)
     if not isinstance(outcome, Done):

@@ -200,12 +200,23 @@ def _read(name: str, command: Command, state: str | None) -> str:
     return state
 
 
+#: Responses to reads of the first 256 code points; other reads build their own.
+_CHARS = {chr(i): Ch(chr(i)) for i in range(256)}
+
+
+def _next(state: str) -> tuple[Value, str]:
+    """An optional read's answer at ``state``, with the state after it."""
+    if state == "":
+        return (UNIT, "")
+    return (_CHARS.get(state[0]) or Ch(state[0]), state[1:])
+
+
 def pt_parse_strict() -> PredicateTransformer:
     """Strict symbol reads: exhausted input is a dead end (vacuously fine)."""
 
     def branches(command: Command, state: str | None) -> Branches:
         text = _read("pt_parse_strict", command, state)
-        return ((_CHARS.get(text[0]) or Ch(text[0]), text[1:]),) if text else ()
+        return (_next(text),) if text else ()
 
     return PredicateTransformer(EffectId.PARSER_STRICT, True, branches)
 
@@ -218,8 +229,7 @@ def pt_parser_maybe() -> PredicateTransformer:
     """
 
     def branches(command: Command, state: str | None) -> Branches:
-        text = _read("pt_parser_maybe", command, state)
-        return ((_CHARS.get(text[0]) or Ch(text[0]), text[1:]),) if text else ((UNIT, ""),)
+        return (_next(_read("pt_parser_maybe", command, state)),)
 
     return PredicateTransformer(EffectId.PARSER_MAYBE, True, branches)
 
@@ -316,18 +326,14 @@ def wp_spec(spec: Spec, post: Callable[[Value], bool], candidates: Iterable[Valu
 # ---------------------------------------------------------------------------
 
 
-#: One way on from a command the driver leaves to its caller: a computation
-#: whose result answers the command, with the state and fuel to run it at.
+#: One way on from a call the driver leaves to its caller: a computation
+#: whose result answers the call, with the state and fuel to run it at.
 _Branch = tuple[Computation, "str | None", int]
-#: A caller's meaning for recursive calls (and optional reads): the branches
-#: to explore, in order, each continuing through the command's resumption.
+#: A caller's meaning for recursive calls, the only commands it sees: the
+#: branches to explore, in order, each continuing through the resumption.
 _CommandRule = Callable[[Command, "str | None", int], Sequence[_Branch]]
 
 _PURE_FALSE = Pure(FALSE)
-#: Responses to reads of the first 256 code points, bare for strict reads and
-#: as finished computations for optional ones; other reads build their own.
-_CHARS = {chr(i): Ch(chr(i)) for i in range(256)}
-_PURE_CHARS = {c: Pure(ch) for c, ch in _CHARS.items()}
 
 
 def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> list[tuple[Value, str | None]]:
@@ -335,8 +341,9 @@ def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> 
 
     The one interpreter behind :func:`results_demonic` and the runners in
     :mod:`effparse.handlers` and :mod:`effparse.cfg`.  It reads choices as
-    lists of successes (true branch first) and strict symbol reads from
-    ``state``; every other command goes to ``rule``.  Nothing recurses on
+    lists of successes (true branch first) and both kinds of symbol read
+    from ``state``; at its end a strict read is a dead end and an optional
+    one answers ``UNIT``.  Only calls go to ``rule``.  Nothing recurses on
     the Python stack: pending branches sit on an explicit work list, and
     each branch carries its continuations as a linked list ``(resume,
     rest)``, so entering a call pushes the call's resumption rather than
@@ -364,12 +371,16 @@ def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> 
                 m = m.resume(TRUE)
             elif command.kind is _KIND_FAIL:
                 break
-            elif command.effect is _PARSER_STRICT:
+            elif command.kind is _KIND_SYMBOL:
                 if state is None:
                     raise ValueError("computation reads input; supply state0")
-                if state == "":
+                # As _next does, without a call on the hottest path.
+                if state:
+                    m, state = m.resume(_CHARS.get(state[0]) or Ch(state[0])), state[1:]
+                elif command.effect is _PARSER_STRICT:
                     break
-                m, state = m.resume(_CHARS.get(state[0]) or Ch(state[0])), state[1:]
+                else:
+                    m = m.resume(UNIT)
             else:
                 konts = (m.resume, konts)
                 branches = rule(command, state, fuel)
@@ -380,15 +391,6 @@ def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> 
                         work.append((branch_m, branch_state, branch_fuel, konts))
                 m, state, fuel = branches[0]
     return leaves
-
-
-def _read_optional(state: str | None, fuel: int) -> tuple[_Branch]:
-    """Answer an optional symbol read: the next character, or unit at the end."""
-    if state is None:
-        raise ValueError("computation reads input; supply state0")
-    if state == "":
-        return ((Pure(UNIT), "", fuel),)
-    return ((_PURE_CHARS.get(state[0]) or Pure(Ch(state[0])), state[1:], fuel),)
 
 
 def results_demonic(
@@ -409,8 +411,6 @@ def results_demonic(
     """
 
     def answer(command: Command, state: str | None, fuel: int) -> Sequence[_Branch]:
-        if command.kind is not _KIND_CALL:
-            return _read_optional(state, fuel)
         if rec_inv is None:
             raise MissingInvariantError(
                 "computation issues recursive calls; supply rec_inv to enumerate them"

@@ -108,6 +108,20 @@ def test_run_parser_rejects_other_effects() -> None:
         run_parser(call(MATCH_ROW, Str("x")), "a")
 
 
+def test_run_parser_answers_optional_reads_as_every_runner_does() -> None:
+    # Read on or stop, true branch first; the end of the input answers UNIT.
+    row = EffectRow((EffectId.NONDET, EffectId.PARSER_MAYBE))
+
+    def reads(acc: str) -> Computation:
+        more = bind(symbol_maybe(row), lambda c: pure(Str(acc)) if c == UNIT else reads(acc + c.char))
+        return choice(more, pure(Str(acc)), row)
+
+    prefixes = ((Str("ab"), ""), (Str("ab"), ""), (Str("a"), "b"), (Str(""), "ab"))
+    assert run_parser_prefix(reads(""), "ab") == results_demonic(reads(""), state0="ab") == prefixes
+    assert run_parser(reads(""), "ab") == prefixes[:2]
+    assert run_parser(reads(""), "") == ((Str(""), ""), (Str(""), ""))
+
+
 # ---------------------------------------------------------------------------
 # h_parser and handle_rec
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ from effparse.core import (
     PARSER_ROW,
     UNIT,
     Ch,
+    CommandKind,
     Computation,
     EffectId,
     EffectRow,
     FALSE,
     TRUE,
-    Pure,
     RowError,
     Str,
     Value,
@@ -29,8 +29,10 @@ from effparse.core import (
     symbol_maybe,
     symbol_strict,
 )
-from effparse import semantics
-from effparse.handlers import run_parser
+from effparse import handlers, semantics
+from effparse.cfg import Nonterminal, grammar_from_text, parse_full
+from effparse.handlers import RecursiveFn, run_parser, run_with_fuel
+from effparse.regex import dmatch_run, parse_regex
 from effparse.semantics import (
     PARSER_SEMANTICS,
     EnumerationOverflowError,
@@ -362,18 +364,63 @@ def test_reads_past_the_first_256_code_points_leave_the_char_table_as_it_is() ->
     """The interpreter answers reads of the first 256 code points from one
     table; reads of any other character must not add to it."""
     text = "".join(chr(0x100 + i) for i in range(10_000))
+    rec_row = EffectRow((EffectId.REC, EffectId.PARSER_MAYBE))
 
     def strict(last: Value) -> Computation:
         return choice(bind(symbol_strict(PARSER_ROW), strict), pure(last), PARSER_ROW)
 
-    def maybe(last: Value) -> Computation:
-        return bind(symbol_maybe(MAYBE_ROW), lambda c: pure(last) if c == UNIT else maybe(c))
+    def maybe(row: EffectRow, last: Value) -> Computation:
+        return bind(symbol_maybe(row), lambda c: pure(last) if c == UNIT else maybe(row, c))
 
-    assert len(semantics._CHARS) == len(semantics._PURE_CHARS) == 256
+    reads = RecursiveFn(rec_row, lambda _: maybe(rec_row, UNIT))
+    optional_runs = (
+        lambda s: results_demonic(maybe(MAYBE_ROW, UNIT), state0=s),
+        lambda s: run_with_fuel(reads, UNIT, 0, s).results,
+    )
+    assert len(semantics._CHARS) == 256
     assert run_parser(strict(UNIT), text) == ((Ch(text[-1]), ""),)
-    assert results_demonic(maybe(UNIT), state0=text) == ((Ch(text[-1]), ""),)
-    assert len(semantics._CHARS) == len(semantics._PURE_CHARS) == 256
-    # Reads of the tables' characters answer from them, strict and optional.
+    for run in optional_runs:
+        assert run(text) == ((Ch(text[-1]), ""),)
+    assert len(semantics._CHARS) == 256
+    # Reads of the table's characters answer from it, strict and optional;
+    # any other character gets a Ch of its own.
     assert run_parser(strict(UNIT), "\xff")[0][0] is semantics._CHARS["\xff"]
-    assert semantics._read_optional("\xffa", 0)[0][0] is semantics._PURE_CHARS["\xff"]
-    assert semantics._read_optional("\u0100a", 0) == ((Pure(Ch("\u0100")), "a", 0),)
+    for run in optional_runs:
+        assert run("\xff")[0][0] is semantics._CHARS["\xff"]
+        assert run("\u0100") == ((Ch("\u0100"), ""),)
+    assert "\u0100" not in semantics._CHARS and len(semantics._CHARS) == 256
+
+
+def test_the_interpreter_asks_its_rules_only_about_calls(monkeypatch) -> None:
+    """The interpreter answers choices and both kinds of read itself; each
+    runner's rule is asked about recursive calls and nothing else."""
+    drive, seen = semantics._drive, []
+
+    def checked_drive(m, state, fuel, rule):
+        def checked_rule(command, state, fuel):
+            assert command.kind is CommandKind.CALL, command
+            seen.append(command)
+            return rule(command, state, fuel)
+
+        return drive(m, state, fuel, checked_rule)
+
+    g, S = grammar_from_text("S -> 'a' S 'b' |\n"), Nonterminal("S")
+    r, row = parse_regex("(a|b)*a"), EffectRow((EffectId.NONDET, EffectId.PARSER_MAYBE, EffectId.REC))
+    # An optional read, then a call on the character read, or on unit at the end.
+    called = bind(symbol_maybe(row), lambda c: call(row, Str("f" if c == UNIT else "g")))
+    reads = choice(called, symbol_maybe(row), row)
+    runs = (
+        # The derivative matcher on its input as state: an optional read a character.
+        lambda: dmatch_run(r, "abba"),
+        # The anchored body ends with the end check, an optional read.
+        lambda: parse_full(g, S, "aabb"),
+        # Optional reads with calls answered by an invariant, at the end and not.
+        lambda: [results_demonic(reads, toy_invariant(), state0=text) for text in ("", "x")],
+    )
+    expected = [run() for run in runs]
+    monkeypatch.setattr(semantics, "_drive", checked_drive)
+    monkeypatch.setattr(handlers, "_drive", checked_drive)
+    for run, answer in zip(runs, expected):
+        seen.clear()
+        assert run() == answer
+        assert seen

@@ -59,7 +59,16 @@ from effparse.core import (
     symbol_maybe,
     symbol_strict,
 )
-from effparse.handlers import Done, RecursiveFn, h_parser, handle_rec, run_parser, run_parser_prefix, run_with_fuel
+from effparse.handlers import (
+    Done,
+    RecursiveFn,
+    h_parser,
+    handle_rec,
+    run_parser,
+    run_parser_prefix,
+    run_with_fuel,
+    terminates_in,
+)
 from effparse.regex import (
     Cat,
     CharT,
@@ -68,6 +77,7 @@ from effparse.regex import (
     Singleton,
     Star,
     derivative,
+    dmatch_handled,
     format_regex,
     is_match,
     match_fn,
@@ -139,6 +149,15 @@ def test_handle_rec_on_a_body_that_reads_ten_thousand_characters() -> None:
     f = RecursiveFn(row, lambda _input: reads())
     outcome = run_with_fuel(handle_rec(h_parser, f), PairV(UNIT, Str("a" * 10_000)), 0)
     assert outcome == Done(((UNIT, None),))
+
+
+def test_terminates_in_unfolds_a_handled_matcher_ten_thousand_calls_deep() -> None:
+    # The unfolding's walk runs over handle_rec's walk, one call a character.
+    f, text = dmatch_handled(), "ab" * 5000
+    m = f.body(match_input(parse_regex("(a|b)*"), text))
+    all_results = SemanticsRow((pt_all(),))
+    assert terminates_in(all_results, f, m, len(text))
+    assert not terminates_in(all_results, f, m, len(text) - 1)
 
 
 def test_cli_cfg_parse_right_recursion_of_512(capsys, tmp_path: Path) -> None:
