@@ -49,7 +49,6 @@ from .core import (
     EffectId,
     EffectRow,
     ListV,
-    NodeV,
     Op,
     PARSER_ROW,
     PairV,
@@ -205,12 +204,13 @@ class Grammar:
 
 
 @dataclass(frozen=True, init=False)
-class SemValue:
+class SemValue(Value):
     """A derivation node: which nonterminal, which production, which children.
 
     Children line up, in order, with the nonterminal symbols of the
-    production's right-hand side; terminals contribute no child.  Built as
-    ``core.NodeV`` is, without the frozen dataclass ``__init__``.
+    production's right-hand side; terminals contribute no child.  Parsers
+    build one per production, so it is built as ``core.Pure`` is, without
+    the frozen dataclass ``__init__``.
     """
 
     __slots__ = ("nt", "production", "children", "__weakref__")
@@ -347,7 +347,6 @@ _read_end = partial(Op, _END_ROW, _END_ROW.index_of(EffectId.PARSER_MAYBE), _REA
 def build_parser(
     g: Grammar,
     rhs: tuple[GSymbol, ...],
-    acc: tuple = (),
     last: Production | None = None,
     follow: str | None = None,
 ) -> Computation:
@@ -384,7 +383,7 @@ def build_parser(
 
     def walk(i: int, acc: tuple) -> Computation:
         if i == m:
-            return pure(ListV(acc)) if last is None else pure(NodeV(SemValue(last.lhs, last.index, acc)))
+            return pure(ListV(acc)) if last is None else pure(SemValue(last.lhs, last.index, acc))
         step = steps[i]
         if type(step) is not str:
             return bind(step, lambda child: walk(i + 1, acc + (child if last is None else _node_of(child),)))
@@ -392,13 +391,13 @@ def build_parser(
             return _read(lambda response: walk(i + 1, acc) if response.char == step else _DEAD)
         return _read_end(lambda response: walk(i + 1, acc) if response == UNIT else _DEAD)
 
-    return walk(0, acc)
+    return walk(0, ())
 
 
 def _node_of(value: Value) -> SemValue:
-    if not isinstance(value, NodeV):
+    if not isinstance(value, SemValue):
         raise TypeError(f"expected a derivation node value, got {value!r}")
-    return value.node
+    return value
 
 
 def from_prods(g: Grammar, a: Nonterminal, follow: str | None = None) -> Computation:
@@ -419,11 +418,11 @@ def from_prods(g: Grammar, a: Nonterminal, follow: str | None = None) -> Computa
         alternatives: list[Computation] = []
         for led, run in groupby(filter_lhs(g, a), lambda p: bool(p.rhs) and isinstance(p.rhs[0], Term)):
             if not led:
-                alternatives.extend(build_parser(g, p.rhs, (), p, follow) for p in run)
+                alternatives.extend(build_parser(g, p.rhs, p, follow) for p in run)
                 continue
             rests: dict[str, list[Computation]] = {}
             for p in run:
-                rests.setdefault(p.rhs[0].char, []).append(build_parser(g, p.rhs[1:], (), p, follow))
+                rests.setdefault(p.rhs[0].char, []).append(build_parser(g, p.rhs[1:], p, follow))
             table = {c: choices(ms, CFG_ROW) for c, ms in rests.items()}
             alternatives.append(_read(lambda response, table=table: table.get(response.char, _DEAD)))
         body = bodies[a.name, follow] = choices(alternatives, CFG_ROW)
@@ -694,7 +693,7 @@ def check_variant(g: Grammar, samples: Iterable[tuple[Nonterminal, str]]) -> boo
         if follow is not None:
             # The callee reads its follow: the remainder must start with it.
             results = tuple((child, rest[1:]) for child, rest in results if rest[:1] == follow)
-        return [(pure(NodeV(child)), remainder, fuel) for child, remainder in results]
+        return [(pure(child), remainder, fuel) for child, remainder in results]
 
     while queue:
         entry = queue.pop(0)

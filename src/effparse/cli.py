@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .cfg import (
     CyclicGrammarError,
@@ -37,56 +36,44 @@ from .regex import (
     parse_regex,
 )
 
-__all__ = ["CliConfig", "cmd_cfg_check", "cmd_cfg_parse", "cmd_derive", "cmd_match", "main"]
+__all__ = ["cmd_cfg_check", "cmd_cfg_parse", "cmd_derive", "cmd_match", "main"]
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Flags shared by the result-producing commands."""
-
-    fuel: int | None = None
-    engine: str = "derivative"
-    format: str = "sexpr"
-    max_results: int | None = None
-
-
-def _emit_results(lines: list[str], config: CliConfig) -> int:
+def _emit_results(lines: list[str], max_results: int | None) -> int:
     total = len(lines)
     shown = lines
-    if config.max_results is not None and total > config.max_results:
-        shown = lines[: config.max_results]
+    if max_results is not None and total > max_results:
+        shown = lines[:max_results]
         print(f"{total} results, showing {len(shown)}", file=sys.stderr)
     for line in shown:
         print(line)
     return 0 if total else 1
 
 
-def cmd_match(pattern: str, text: str, config: CliConfig) -> int:
+def cmd_match(pattern: str, text: str, fuel: int | None, engine: str, as_json: bool, max_results: int | None) -> int:
     """Print one parse-tree witness per line for ``text`` against ``pattern``."""
     try:
         r = parse_regex(pattern)
     except RegexSyntaxError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if config.engine == "structural":
-        if not has_no_star(r) and config.fuel is None:
+    if engine == "structural":
+        if not has_no_star(r) and fuel is None:
             print(
                 "error: the structural engine needs --fuel for patterns with '*'",
                 file=sys.stderr,
             )
             return 2
-        fuel = config.fuel if config.fuel is not None else 0
-        outcome = run_with_fuel(match_fn(), match_input(r, text), fuel)
+        outcome = run_with_fuel(match_fn(), match_input(r, text), fuel or 0)
         if not isinstance(outcome, Done):
             print("error: fuel exhausted", file=sys.stderr)
             return 3
-        trees = [value.tree for value, _state in outcome.results]  # type: ignore[union-attr]
+        trees = [value for value, _state in outcome.results]
     else:
-        trees = list(dmatch_run(r, text))
+        trees = dmatch_run(r, text)
     # Deduplicated as printed lines, which are flat strings, rather than as
     # trees, whose hash recurses once per level; the printer is injective.
-    as_json = config.format == "json-lines"
-    return _emit_results(list(dict.fromkeys(format_tree(t, as_json) for t in trees)), config)
+    return _emit_results(list(dict.fromkeys(format_tree(t, as_json) for t in trees)), max_results)
 
 
 def cmd_derive(pattern: str, text: str) -> int:
@@ -141,7 +128,7 @@ def cmd_cfg_check(path: str) -> int:
     return 0
 
 
-def cmd_cfg_parse(path: str, start: str, text: str, config: CliConfig) -> int:
+def cmd_cfg_parse(path: str, start: str, text: str, fuel: int | None, as_json: bool, max_results: int | None) -> int:
     """Print one derivation per full parse of ``text`` from ``start``.
 
     Only parses of the whole input are computed (:func:`~effparse.cfg.parse_full`),
@@ -157,7 +144,7 @@ def cmd_cfg_parse(path: str, start: str, text: str, config: CliConfig) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     try:
-        parses = parse_full(grammar, start_nt, text, config.fuel)
+        parses = parse_full(grammar, start_nt, text, fuel)
     except CyclicGrammarError as error:
         print(f"cyclic: {_cycle_text(error.cycle)}", file=sys.stderr)
         return 1
@@ -168,8 +155,7 @@ def cmd_cfg_parse(path: str, start: str, text: str, config: CliConfig) -> int:
         print("error: fuel exhausted", file=sys.stderr)
         return 3
     # Each derivation fixes its own choice path, so none comes twice.
-    as_json = config.format == "json-lines"
-    return _emit_results([format_sem_value(node, as_json) for node in parses], config)
+    return _emit_results([format_sem_value(node, as_json) for node in parses], max_results)
 
 
 def _natural(text: str) -> int:
@@ -222,15 +208,13 @@ def main(argv: list[str] | None = None) -> int:
         code = exit_request.code
         return code if isinstance(code, int) else 2
     if args.command == "match":
-        config = CliConfig(args.fuel, args.engine, args.format, args.max_results)
-        return cmd_match(args.pattern, args.input, config)
+        return cmd_match(args.pattern, args.input, args.fuel, args.engine, args.format == "json-lines", args.max_results)
     if args.command == "derive":
         return cmd_derive(args.pattern, args.input)
     if args.command == "cfg-check":
         return cmd_cfg_check(args.grammar)
     assert args.command == "cfg-parse"
-    config = CliConfig(args.fuel, "derivative", args.format, args.max_results)
-    return cmd_cfg_parse(args.grammar, args.start, args.input, config)
+    return cmd_cfg_parse(args.grammar, args.start, args.input, args.fuel, args.format == "json-lines", args.max_results)
 
 
 if __name__ == "__main__":

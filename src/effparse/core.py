@@ -12,22 +12,18 @@ Effects are identified by :class:`EffectId` and grouped into an ordered
 :class:`EffectRow`; every ``Op`` node names its effect by position in the
 row, and construction checks that the position agrees with the command.
 
-Interpreters build ``Pure`` and ``Op`` nodes on most steps, and parsers a
-``NodeV`` per production, so these skip the frozen dataclass ``__init__`` (a
-slow ``object.__setattr__`` per field) and set their slots through the slot
-descriptors; ``==``, ``hash``, ``repr``, weak references, copies and pickles
-stay, and every ``Op`` still runs both row checks, in ``__post_init__``.
+Interpreters build ``Pure`` and ``Op`` nodes on most steps, so these skip
+the frozen dataclass ``__init__`` (a slow ``object.__setattr__`` per field)
+and set their slots through the slot descriptors; ``==``, ``hash``,
+``repr``, weak references, copies and pickles stay, and every ``Op``
+still runs both row checks, in ``__post_init__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
-
-if TYPE_CHECKING:  # only for annotations; avoids an import cycle
-    from .cfg import SemValue
-    from .regex import ParseTree, Regex
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Bool",
@@ -40,16 +36,13 @@ __all__ = [
     "FALSE",
     "ListV",
     "NONDET_ROW",
-    "NodeV",
     "PARSER_ROW",
     "Op",
     "PairV",
     "Pure",
-    "RegexV",
     "RowError",
     "SplitV",
     "Str",
-    "TreeV",
     "TRUE",
     "UNIT",
     "Unit",
@@ -77,7 +70,12 @@ class RowError(ValueError):
 
 
 class Value:
-    """Base class for the closed union of values computations may produce."""
+    """Base class for the closed union of values computations may produce.
+
+    Besides the classes below, the union holds regexes, their parse trees
+    (``regex.Regex``, ``regex.ParseTree``) and grammar derivations
+    (``cfg.SemValue``), which calls take and return as they are.
+    """
 
     __slots__ = ()
 
@@ -119,34 +117,6 @@ class PairV(Value):
 @dataclass(frozen=True)
 class ListV(Value):
     items: tuple[Value, ...]
-
-
-@dataclass(frozen=True)
-class TreeV(Value):
-    """A regex parse tree lifted into the value union."""
-
-    tree: "ParseTree"
-
-
-@dataclass(frozen=True)
-class RegexV(Value):
-    """A regex lifted into the value union, as the matchers' call inputs carry it."""
-
-    regex: "Regex"
-
-
-@dataclass(frozen=True, init=False)
-class NodeV(Value):
-    """A grammar semantic value lifted into the value union."""
-
-    __slots__ = ("node", "__weakref__")
-    node: "SemValue"
-
-    def __init__(self, node: "SemValue") -> None:
-        _set_node(self, node)
-
-    def __reduce__(self) -> tuple:
-        return (type(self), (self.node,))
 
 
 @dataclass(frozen=True)
@@ -322,7 +292,7 @@ class Op(Computation):
 
 
 #: The slot descriptors' setters, which the hot nodes' ``__init__`` store through.
-_set_node, _set_value = NodeV.__dict__["node"].__set__, Pure.__dict__["value"].__set__
+_set_value = Pure.__dict__["value"].__set__
 _set_row, _set_index, _set_command, _set_resume = (Op.__dict__[f].__set__ for f in ("row", "index", "command", "resume"))
 
 

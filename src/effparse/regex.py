@@ -30,8 +30,9 @@ returns that very object, so equality and hashing are identity checks.
 A node keeps its ``nullable`` witness and its derivatives by character,
 which die with it.  No walk over a regex, nor the parser, recurses in
 Python, so how deep a pattern or a derivative nests is bounded by memory.
-Recursive calls carry the regex itself as a :class:`~effparse.core.RegexV`
-value.
+Regexes and parse trees are themselves :class:`~effparse.core.Value`
+subclasses, so recursive calls take the regex and return the tree as
+they are.
 
 The concrete regex syntax, read and written by :func:`parse_regex` and
 :func:`format_regex`, serves the command line and the tests only; it
@@ -54,12 +55,10 @@ from .core import (
     EffectRow,
     NONDET_ROW,
     PairV,
-    RegexV,
     SplitV,
     Str,
     TRUE,
     FALSE,
-    TreeV,
     Value,
     bind,
     call,
@@ -147,7 +146,7 @@ class RegexSyntaxError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class Regex:
+class Regex(Value):
     """Base class of the regular-expression AST.
 
     Nodes are hash-consed: constructing a node equal to one that exists
@@ -293,7 +292,7 @@ def has_no_star(r: Regex) -> bool:
     return not any(isinstance(node, Star) for node in _fold(r, lambda _node, *_kids: True))
 
 
-class ParseTree:
+class ParseTree(Value):
     """Base class of parse trees witnessing how a string matched a regex."""
 
     __slots__ = ()
@@ -550,25 +549,25 @@ def _either(row: EffectRow, left: Callable[[], Computation], right: Callable[[],
 
 def match_input(r: Regex, xs: str) -> PairV:
     """Encode a (regex, string) pair as a recursive-call input value."""
-    return PairV(RegexV(r), Str(xs))
+    return PairV(r, Str(xs))
 
 
 def decode_match_input(value: Value) -> tuple[Regex, str]:
     """Invert :func:`match_input`."""
     if (
         not isinstance(value, PairV)
-        or not isinstance(value.first, RegexV)
+        or not isinstance(value.first, Regex)
         or not isinstance(value.second, Str)
     ):
         raise TypeError(f"not a (regex, string) call input: {value!r}")
-    return value.first.regex, value.second.text
+    return value.first, value.second.text
 
 
 def _cons_iteration(pair_value: Value) -> Value:
     tree = _tree_of(pair_value)
     if not isinstance(tree, PairT):
         raise TreeShapeError(f"iteration step should return (head, rest-of-list): {pair_value!r}")
-    return TreeV(_cons(tree.first, tree.second))
+    return _cons(tree.first, tree.second)
 
 
 def match_structural(r: Regex, xs: str) -> Computation:
@@ -586,14 +585,14 @@ def match_structural(r: Regex, xs: str) -> Computation:
     if isinstance(r, Empty):
         return fail(row)
     if isinstance(r, Epsilon):
-        return pure(TreeV(UNIT_TREE)) if xs == "" else fail(row)
+        return pure(UNIT_TREE) if xs == "" else fail(row)
     if isinstance(r, Singleton):
-        return pure(TreeV(CharT(r.char))) if xs == r.char else fail(row)
+        return pure(CharT(r.char)) if xs == r.char else fail(row)
     if isinstance(r, Alt):
         return _either(
             row,
-            lambda: fmap(lambda tv: TreeV(LeftT(_tree_of(tv))), match_structural(r.left, xs)),
-            lambda: fmap(lambda tv: TreeV(RightT(_tree_of(tv))), match_structural(r.right, xs)),
+            lambda: fmap(lambda t: LeftT(_tree_of(t)), match_structural(r.left, xs)),
+            lambda: fmap(lambda t: RightT(_tree_of(t)), match_structural(r.right, xs)),
         )
     if isinstance(r, Cat):
         return bind(
@@ -602,20 +601,20 @@ def match_structural(r: Regex, xs: str) -> Computation:
                 match_structural(r.left, sv.prefix),
                 lambda y: bind(
                     match_structural(r.right, sv.suffix),
-                    lambda z: pure(TreeV(PairT(_tree_of(y), _tree_of(z)))),
+                    lambda z: pure(PairT(_tree_of(y), _tree_of(z))),
                 ),
             ),
         )
     assert isinstance(r, Star)
     if xs == "":
-        return pure(TreeV(ListT(())))
+        return pure(ListT(()))
     return fmap(_cons_iteration, call(row, match_input(Cat(r.body, r), xs)))
 
 
 def _tree_of(value: Value) -> ParseTree:
-    if not isinstance(value, TreeV):
+    if not isinstance(value, ParseTree):
         raise TreeShapeError(f"expected a tree value, got {value!r}")
-    return value.tree
+    return value
 
 
 def match_fn() -> RecursiveFn:
@@ -633,11 +632,10 @@ def match_spec_invariant(max_outputs: int | None = None) -> Invariant:
 
     def relation(call_input: Value, output: Value) -> bool:
         r, xs = decode_match_input(call_input)
-        return isinstance(output, TreeV) and is_match(r, xs, output.tree)
+        return isinstance(output, ParseTree) and is_match(r, xs, output)
 
     def enumerator(call_input: Value) -> tuple[Value, ...]:
-        r, xs = decode_match_input(call_input)
-        return tuple(TreeV(t) for t in enumerate_matches(r, xs))
+        return enumerate_matches(*decode_match_input(call_input))
 
     return Invariant(relation, enumerator, max_outputs)
 
@@ -872,7 +870,7 @@ def _dmatch_of(r: Regex) -> Computation:
     row = DMATCH_ROW
     steps: dict[str, Computation] = {}
     witness = r._nullable
-    at_end = pure(TreeV(witness)) if witness is not None else fail(row)
+    at_end = pure(witness) if witness is not None else fail(row)
 
     def continue_with(response: Value) -> Computation:
         if not isinstance(response, Ch):
@@ -881,27 +879,27 @@ def _dmatch_of(r: Regex) -> Computation:
         step = steps.get(x)
         if step is None:
             d, fix = _derive(r, x, True)
-            step = steps[x] = fmap(lambda tv: TreeV(_rectify(fix, _tree_of(tv), True)), call(row, RegexV(d)))
+            step = steps[x] = fmap(lambda t: _rectify(fix, _tree_of(t), True), call(row, d))
         return step
 
     return bind(symbol_maybe(row), continue_with)
 
 
 def dmatch_fn() -> RecursiveFn:
-    """The derivative matcher as a recursive function on ``RegexV`` inputs."""
+    """The derivative matcher as a recursive function on regex inputs."""
     return RecursiveFn(DMATCH_ROW, lambda v: dmatch(_regex_of(v)))
 
 
 def _regex_of(value: Value) -> Regex:
-    if not isinstance(value, RegexV):
+    if not isinstance(value, Regex):
         raise TypeError(f"expected a regex value, got {value!r}")
-    return value.regex
+    return value
 
 
 def dmatch_handled() -> RecursiveFn:
     """The derivative matcher with its symbol reads discharged by state.
 
-    Inputs become ``PairV(RegexV(r), Str(input))`` — the encoding
+    Inputs become ``PairV(r, Str(input))`` — the encoding
     :func:`match_input` builds, which the structural matcher uses too — and
     the effect row shrinks to recursion plus nondeterminism.
     """
@@ -918,7 +916,7 @@ def dmatch_run(r: Regex, s: str) -> tuple[ParseTree, ...]:
     so the budget provably suffices — running dry would mean the
     termination argument itself is broken, and raises.
     """
-    outcome = run_with_fuel(dmatch_fn(), RegexV(r), len(s), s)
+    outcome = run_with_fuel(dmatch_fn(), r, len(s), s)
     if not isinstance(outcome, Done):
         raise TerminationInvariantError(
             f"derivative matching ran out of fuel on a {len(s)}-character input"

@@ -39,7 +39,6 @@ from effparse.core import (
     Ch,
     Computation,
     ListV,
-    NodeV,
     Op,
     Pure,
     Str,
@@ -184,8 +183,9 @@ def build_parser(g: Grammar, rhs: tuple[GSymbol, ...], acc: tuple[Value, ...] = 
 def _from_prod(g: Grammar, production: Production) -> Computation:
     def deliver(children_value: Value) -> Computation:
         assert isinstance(children_value, ListV)
-        children = tuple(child.node for child in children_value.items)  # type: ignore[attr-defined]
-        return pure(NodeV(SemValue(production.lhs, production.index, children)))
+        children = children_value.items
+        assert all(isinstance(child, SemValue) for child in children)
+        return pure(SemValue(production.lhs, production.index, children))  # type: ignore[arg-type]
 
     return bind(build_parser(g, production.rhs, ()), deliver)
 

@@ -20,7 +20,7 @@ from effparse.cfg import (
     spec_produce,
 )
 from effparse.cli import main
-from effparse.core import Ch, Str, TreeV, UNIT, bind, pure
+from effparse.core import Ch, Str, UNIT, bind, pure
 from effparse.handlers import Done, EXHAUSTED, run_with_fuel
 from effparse.regex import (
     EPSILON,
@@ -89,12 +89,12 @@ def test_c02_structural_match_results_are_matches() -> None:
     for r in regexes_up_to(5, stars=False):
         for s in strings_up_to(4):
             for value, _state in results_demonic(match_structural(r, s)):
-                assert is_match(r, s, value.tree)
+                assert is_match(r, s, value)
     inv = match_spec_invariant()
     for r in regexes_up_to(5):
         for s in strings_up_to(4):
             for value, _state in results_demonic(match_structural(r, s), inv):
-                assert is_match(r, s, value.tree)
+                assert is_match(r, s, value)
 
 
 def test_c03_all_splits_counts_and_recombines() -> None:
@@ -150,7 +150,7 @@ def test_c07_star_of_epsilon_diverges_on_nonempty_input() -> None:
     nonempty_input = match_input(Star(EPSILON), "a")
     for fuel in range(17):
         assert run_with_fuel(f, empty_input, fuel) == Done(
-            ((TreeV(ListT(())), None),)
+            ((ListT(()), None),)
         )
         assert run_with_fuel(f, nonempty_input, fuel) == EXHAUSTED
 

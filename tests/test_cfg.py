@@ -33,7 +33,7 @@ from effparse.cfg import (
 )
 from effparse.core import UNIT, Ch, CommandKind, Op, Str
 from effparse.handlers import Done, TerminationInvariantError, run_parser, run_with_fuel
-from effparse.semantics import in_language, results_demonic
+from effparse.semantics import Invariant, in_language, results_demonic
 
 from helpers import ACYCLIC_FAMILY, G_CYCLIC, G_EXPR, G_NULLABLE, G_RIGHT_REC, strings_up_to
 
@@ -142,8 +142,15 @@ def test_from_prods_delivers_nodes_with_production_indices() -> None:
     g, start, _ = load(G_RIGHT_REC)
     outcome = run_with_fuel(from_prods_fn(g), Str("E"), parse_fuel(2, 1), state0="ab")
     assert isinstance(outcome, Done)
-    full = [(v.node, s) for v, s in outcome.results if s == ""]
+    full = [(v, s) for v, s in outcome.results if s == ""]
     assert full == [(SemValue(E, 0, (SemValue(E, 1, ()),)), "")]
+
+
+def test_from_prods_refuses_a_call_answer_that_is_not_a_derivation() -> None:
+    g = grammar_from_text("S -> 'a' S |\n")
+    not_a_node = Invariant(lambda _input, _output: True, lambda _input: (Str("x"),))
+    with pytest.raises(TypeError):
+        results_demonic(from_prods(g, S), not_a_node, state0="aa")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +306,7 @@ def test_expanded_parser_mirrors_parse() -> None:
     for text in strings_up_to(3, alphabet):
         depth = parse_fuel(len(text), 1)
         expanded = expanded_parser(g, start, depth)
-        got = {v.node for v, _ in run_parser(expanded, text)}
+        got = {v for v, _ in run_parser(expanded, text)}
         want = {node for node, remainder in parse(g, start, text) if remainder == ""}
         assert got == want
 

@@ -122,7 +122,7 @@ def test_parser_agrees_with_the_reference_in_order(name: str, g: Grammar, start:
         fuel = parse_fuel(len(text), bound)
         old = run_with_fuel(old_fn, Str(start.name), fuel, state0=text)
         if isinstance(old, Done):
-            assert parse(g, start, text) == tuple((value.node, rest) for value, rest in old.results)
+            assert parse(g, start, text) == tuple((value, rest) for value, rest in old.results)
         else:
             # The budget falls short where a right-hand side calls nullable
             # nonterminals one after another at one input position; both
@@ -187,7 +187,7 @@ def test_parse_full_runs_dry_on_the_budgets_parse_does(name: str, g: Grammar, st
             plain = run_with_fuel(plain_fn, Str(start.name), fuel, state0=text)
             full = parse_full(g, start, text, fuel)
             if isinstance(plain, Done):
-                assert full == tuple(value.node for value, rest in plain.results if rest == "")
+                assert full == tuple(value for value, rest in plain.results if rest == "")
             else:
                 assert isinstance(full, Exhausted)
 

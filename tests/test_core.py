@@ -25,7 +25,6 @@ from effparse.core import (
     Computation,
     EffectId,
     EffectRow,
-    NodeV,
     Op,
     PairV,
     Pure,
@@ -130,7 +129,7 @@ def test_ops_compare_by_identity() -> None:
 
 
 def test_hot_nodes_keep_the_frozen_dataclass_contracts() -> None:
-    """``Pure``, ``Op``, ``NodeV`` and ``SemValue`` are built without the
+    """``Pure``, ``Op`` and ``SemValue`` are built without the
     dataclass ``__init__`` but keep what it gave: frozen fields, ``==``,
     ``hash`` and ``repr`` from the fields, ``dataclasses.fields`` and
     ``replace``, weak references, copies and pickles."""
@@ -139,11 +138,9 @@ def test_hot_nodes_keep_the_frozen_dataclass_contracts() -> None:
     S = Nonterminal("S")
     leaf = SemValue(S, 1, ())
     sem = SemValue(S, 0, (leaf,))
-    node = NodeV(sem)
     fields = {
         value: ("value",),
         op: ("row", "index", "command", "resume"),
-        node: ("node",),
         sem: ("nt", "production", "children"),
     }
     for hot, names in fields.items():
@@ -158,15 +155,14 @@ def test_hot_nodes_keep_the_frozen_dataclass_contracts() -> None:
     assert value != Pure(Ch("b")) and value != Ch("a")
     assert repr(value) == "Pure(value=Ch(char='a'))"
     assert repr(op) == f"Op(row={PARSER_ROW!r}, index=1, command={cmd!r}, resume={Pure!r})"
-    twin = NodeV(SemValue(Nonterminal("S"), 0, (SemValue(Nonterminal("S"), 1, ()),)))
-    assert node == twin and hash(node) == hash(twin) == hash((sem,)) and hash(sem) == hash((S, 0, (leaf,)))
-    assert node != NodeV(leaf) and sem != leaf and node != sem and sem != (S, 0, (leaf,))
+    twin = SemValue(Nonterminal("S"), 0, (SemValue(Nonterminal("S"), 1, ()),))
+    assert sem == twin and hash(sem) == hash(twin) == hash((S, 0, (leaf,)))
+    assert sem != leaf and sem != (S, 0, (leaf,))
     assert repr(leaf) == "SemValue(nt=Nonterminal(name='S'), production=1, children=())"
-    assert repr(node) == f"NodeV(node=SemValue(nt={S!r}, production=0, children=({leaf!r},)))"
+    assert repr(sem) == f"SemValue(nt={S!r}, production=0, children=({leaf!r},))"
     assert dataclasses.replace(value, value=Ch("b")) == Pure(Ch("b"))
-    assert dataclasses.replace(node, node=leaf) == NodeV(leaf)
     assert dataclasses.replace(sem, production=2) == SemValue(S, 2, (leaf,))
-    for equal in (value, node, sem):
+    for equal in (value, sem):
         for clone in (copy.copy(equal), copy.deepcopy(equal), pickle.loads(pickle.dumps(equal))):
             assert clone == equal and clone is not equal
     for clone in (copy.copy(op), copy.deepcopy(op), pickle.loads(pickle.dumps(op))):

@@ -220,14 +220,14 @@ def test_terminates_fmap_law_holds_on_samples() -> None:
 def test_initial_invocation_is_free() -> None:
     outcome = run_with_fuel(match_fn(), match_input(A, "a"), 0)
     assert isinstance(outcome, Done)
-    assert [v.tree for v, _ in outcome.results] == [CharT("a")]
+    assert [v for v, _ in outcome.results] == [CharT("a")]
 
 
 def test_each_recursive_call_costs_one_unit() -> None:
     assert run_with_fuel(match_fn(), match_input(Star(A), "a"), 0) == EXHAUSTED
     outcome = run_with_fuel(match_fn(), match_input(Star(A), "a"), 1)
     assert isinstance(outcome, Done)
-    assert [v.tree for v, _ in outcome.results] == [ListT((CharT("a"),))]
+    assert [v for v, _ in outcome.results] == [ListT((CharT("a"),))]
 
 
 def test_branches_inherit_the_budget_at_the_branch_point() -> None:
@@ -263,11 +263,8 @@ def test_exhaustion_is_global() -> None:
 def test_done_results_follow_branch_order() -> None:
     outcome = run_with_fuel(match_fn(), match_input(Alt(A, A), "a"), 0)
     assert isinstance(outcome, Done)
-    trees = [v.tree for v, _ in outcome.results]
-    expected = [
-        v.tree
-        for v, _ in results_demonic(match_structural(Alt(A, A), "a"), match_spec_invariant())
-    ]
+    trees = [v for v, _ in outcome.results]
+    expected = [v for v, _ in results_demonic(match_structural(Alt(A, A), "a"), match_spec_invariant())]
     assert trees == expected
 
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from effparse.core import Op, SplitV, Str, TreeV
+from effparse.core import Op, SplitV, Str
 from effparse.handlers import Done, TerminationInvariantError, run_with_fuel
 from effparse.regex import (
     DMATCH_ROW,
@@ -29,6 +29,7 @@ from effparse.regex import (
     derivative,
     derivative_step,
     dmatch,
+    dmatch_fn,
     dmatch_handled,
     dmatch_run,
     enumerate_matches,
@@ -42,7 +43,7 @@ from effparse.regex import (
     parse_regex,
     regex_size,
 )
-from effparse.semantics import refines_all, results_demonic
+from effparse.semantics import Invariant, refines_all, results_demonic
 
 from helpers import regexes_up_to, strings_up_to
 from reference import dmatch_unsimplified
@@ -53,9 +54,7 @@ INV = match_spec_invariant()
 
 def match_trees(r, s):
     """The structural matcher's results, as parse trees."""
-    return tuple(
-        v.tree for v, _ in results_demonic(match_structural(r, s), INV)
-    )
+    return tuple(v for v, _ in results_demonic(match_structural(r, s), INV))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +101,7 @@ def test_match_structural_star_goldens() -> None:
     # Star on the empty string is a finished computation, no recursion
     # involved, so zero fuel already completes it.
     outcome = run_with_fuel(match_fn(), match_input(Star(EPSILON), ""), 0)
-    assert outcome == Done(((TreeV(ListT(())), None),))
+    assert outcome == Done(((ListT(()), None),))
 
 
 def test_match_input_round_trips() -> None:
@@ -112,11 +111,23 @@ def test_match_input_round_trips() -> None:
         decode_match_input(Str("just-a-string"))
 
 
+def test_matchers_refuse_a_call_answer_that_is_not_a_tree() -> None:
+    """Trees and regexes cross calls as they are, so the matchers check what
+    comes back from a call, and what a call hands them, for its type."""
+    not_a_tree = Invariant(lambda _input, _output: True, lambda _input: (Str("x"),))
+    with pytest.raises(TreeShapeError):
+        results_demonic(match_structural(Star(A), "a"), not_a_tree)
+    with pytest.raises(TreeShapeError):
+        results_demonic(dmatch(Star(A)), not_a_tree, state0="a")
+    with pytest.raises(TypeError):
+        dmatch_fn().body(Str("a"))
+
+
 def test_match_equals_enumeration_star_free() -> None:
     for r in regexes_up_to(4, stars=False):
         for s in strings_up_to(3):
             got = results_demonic(match_structural(r, s))
-            assert set(t.tree for t, _ in got) == set(enumerate_matches(r, s))
+            assert set(t for t, _ in got) == set(enumerate_matches(r, s))
 
 
 def test_match_results_satisfy_the_relation() -> None:
@@ -324,7 +335,7 @@ def test_dmatch_run_agrees_with_the_handled_matcher() -> None:
     def handled(r, s):
         outcome = run_with_fuel(dmatch_handled(), match_input(r, s), len(s))
         assert isinstance(outcome, Done)
-        return tuple(value.tree for value, _state in outcome.results)
+        return tuple(value for value, _state in outcome.results)
 
     for r in regexes_up_to(4):
         assert dmatch(r) is dmatch(r)
@@ -377,4 +388,4 @@ def test_dmatch_run_matches_blank_singletons() -> None:
 def test_structural_matcher_matches_blank_singletons() -> None:
     for r, s, trees in BLANK_CASES:
         outcome = run_with_fuel(match_fn(), match_input(r, s), len(s))
-        assert outcome == Done(tuple((TreeV(t), None) for t in trees))
+        assert outcome == Done(tuple((t, None) for t in trees))
