@@ -1,13 +1,15 @@
 """Context-free grammars parsed through the recursion effect.
 
-A grammar is an ordered list of productions.  :func:`from_prods` turns a
-nonterminal into a computation that nondeterministically picks one of its
-productions and walks the right-hand side, reading terminals with strict
-symbol reads and handing nonterminals to the recursion effect; results are
-:class:`SemValue` derivation nodes recording which production fired and the
-sub-derivations for its nonterminals, in order.  Nothing of this depends on
-the input, so each nonterminal's computation is built once per grammar,
-from productions grouped by left-hand side, and shared by every expansion.
+A grammar is an ordered list of productions, whose right-hand sides hold
+:class:`Term` characters and :class:`Nonterminal` values.  :func:`from_prods`
+turns a nonterminal into a computation that nondeterministically picks one
+of its productions and walks the right-hand side, reading terminals with
+strict symbol reads and calling the recursion effect on each nonterminal
+itself; results are :class:`SemValue` derivation nodes recording which
+production fired and the sub-derivations for its nonterminals, in order.
+Nothing of this depends on the input, so each nonterminal's computation is
+built once per grammar, from productions grouped by left-hand side, and
+shared by every expansion.
 Each is left-factored (Swierstra and Duponcheel 1996): a run of productions
 led by terminals shares one read, and those the character does not start
 have no results and make no call, so results, order, calls and fuel stay.
@@ -48,7 +50,6 @@ from .core import (
     Computation,
     EffectId,
     EffectRow,
-    ListV,
     Op,
     PARSER_ROW,
     PairV,
@@ -76,7 +77,6 @@ __all__ = [
     "Grammar",
     "GrammarError",
     "GrammarSyntaxError",
-    "NonTerm",
     "Nonterminal",
     "Production",
     "SemValue",
@@ -129,19 +129,21 @@ class CyclicGrammarError(GrammarError):
 # ---------------------------------------------------------------------------
 
 
+class GSymbol:
+    """A grammar symbol: either a terminal character or a nonterminal."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
-class Nonterminal:
+class Nonterminal(GSymbol, Value):
+    """A nonterminal: a right-hand-side symbol, and the input of its calls."""
+
     name: str
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("nonterminal names are nonempty")
-
-
-class GSymbol:
-    """A grammar symbol: either a terminal character or a nonterminal."""
-
-    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -151,11 +153,6 @@ class Term(GSymbol):
     def __post_init__(self) -> None:
         if len(self.char) != 1:
             raise ValueError(f"terminals are single characters, got {self.char!r}")
-
-
-@dataclass(frozen=True)
-class NonTerm(GSymbol):
-    nonterminal: Nonterminal
 
 
 @dataclass(frozen=True)
@@ -188,10 +185,8 @@ class Grammar:
         defined = {p.lhs for p in self.productions}
         for production in self.productions:
             for symbol in production.rhs:
-                if isinstance(symbol, NonTerm) and symbol.nonterminal not in defined:
-                    raise UndefinedNonterminalError(
-                        f"nonterminal {symbol.nonterminal.name!r} is used but never defined"
-                    )
+                if isinstance(symbol, Nonterminal) and symbol not in defined:
+                    raise UndefinedNonterminalError(f"nonterminal {symbol.name!r} is used but never defined")
 
     @property
     def nonterminals(self) -> frozenset[Nonterminal]:
@@ -271,14 +266,14 @@ class _Index:
     """The input-independent parts of a grammar's parser, built once.
 
     Productions grouped by left-hand side, and, as first asked for, bodies
-    and call steps keyed by ``(name, follow)`` (see :func:`build_parser`),
-    and each call's input by ``id`` (the entry keeps the ``id`` from reuse)
-    back to its nonterminal and follow.  Computations are immutable and
-    their resumptions pure, so every parse of the grammar can share them.
-    The index lives on its grammar and is dropped with it.
+    and call steps keyed by ``(name, follow)`` (see :func:`build_parser`).
+    A step calls on the nonterminal itself, or on it paired with its
+    follow.  Computations are immutable and their resumptions pure, so
+    every parse of the grammar can share them.  The index lives on its
+    grammar and is dropped with it.
     """
 
-    __slots__ = ("by_lhs", "bodies", "steps", "callees")
+    __slots__ = ("by_lhs", "bodies", "steps")
 
     def __init__(self, g: Grammar) -> None:
         by_lhs: dict[Nonterminal, list[Production]] = {}
@@ -287,28 +282,12 @@ class _Index:
         self.by_lhs = {a: tuple(ps) for a, ps in by_lhs.items()}
         self.bodies: dict[tuple[str, str | None], Computation] = {}
         self.steps: dict[tuple[str, str | None], Computation] = {}
-        self.callees: dict[int, tuple[Value, tuple[Nonterminal, str | None]]] = {}
 
     def step(self, a: Nonterminal, follow: str | None = None) -> Computation:
         m = self.steps.get((a.name, follow))
         if m is None:
-            payload = Str(a.name) if follow is None else PairV(Str(a.name), Str(follow))
-            m = self.steps[a.name, follow] = call(CFG_ROW, payload)
-            self.callees[id(payload)] = (payload, (a, follow))
+            m = self.steps[a.name, follow] = call(CFG_ROW, a if follow is None else PairV(a, Str(follow)))
         return m
-
-    def callee(self, value: Value) -> tuple[Nonterminal, str | None]:
-        """The nonterminal and follow a call input names: found by identity,
-        without a hash, if :meth:`step` built it, else taken apart."""
-        callee = self.callees.get(id(value))
-        if callee is not None and callee[0] is value:
-            return callee[1]
-        if isinstance(value, Str):
-            return (Nonterminal(value.text), None)
-        if isinstance(value, PairV) and isinstance(value.first, Str) and isinstance(value.second, Str):
-            if len(value.second.text) < 2:
-                return (Nonterminal(value.first.text), value.second.text)
-        raise TypeError(f"call inputs are nonterminal names, bare or with a follow of one character or none, got {value!r}")
 
 
 def _index(g: Grammar) -> _Index:
@@ -331,7 +310,7 @@ def exact(c: str, row: EffectRow = CFG_ROW) -> Computation:
     return bind(symbol_strict(row), lambda response: done if response == expected else dead)
 
 
-#: The follow of an anchored call, whose input is ``PairV(name, _END)``.
+#: The follow of an anchored call, whose input is ``PairV(a, _END)``.
 _END = Str("")
 
 #: The end-of-input check is an optional read, which answers ``UNIT`` only
@@ -347,16 +326,15 @@ _read_end = partial(Op, _END_ROW, _END_ROW.index_of(EffectId.PARSER_MAYBE), _REA
 def build_parser(
     g: Grammar,
     rhs: tuple[GSymbol, ...],
-    last: Production | None = None,
+    last: Production,
     follow: str | None = None,
 ) -> Computation:
-    """Walk a right-hand side, collecting one child per nonterminal.
+    """Walk a right-hand side of ``last``, delivering ``last``'s derivation node.
 
-    Terminals are consumed and contribute nothing; nonterminals go through
-    the recursion effect.  By default each child is the call's response
-    and the walk delivers the children as a list value.  Given the
-    production ``last`` being walked, each child is the derivation node
-    the response carries, and the walk delivers ``last``'s own node.
+    Terminals are consumed and contribute nothing; each nonterminal is a
+    call on the recursion effect, whose answer, a derivation node, is the
+    node's next child.  ``rhs`` is ``last``'s right-hand side, or the part
+    of it after a terminal :func:`from_prods` has read already.
 
     ``follow`` says what must come right after the walk: anything
     (``None``), the end of the input (``""``), or the terminal it names,
@@ -373,8 +351,8 @@ def build_parser(
     # A step is a call, a character to read, or "" for the end check.
     steps: list = []
     for i, s in enumerate(rhs):
-        if isinstance(s, NonTerm):
-            steps.append(index.step(s.nonterminal, after[i]))
+        if isinstance(s, Nonterminal):
+            steps.append(index.step(s, after[i]))
         elif i == 0 or isinstance(rhs[i - 1], Term):
             steps.append(s.char)
     if follow is not None and (n == 0 or isinstance(rhs[-1], Term)):
@@ -383,10 +361,10 @@ def build_parser(
 
     def walk(i: int, acc: tuple) -> Computation:
         if i == m:
-            return pure(ListV(acc)) if last is None else pure(SemValue(last.lhs, last.index, acc))
+            return pure(SemValue(last.lhs, last.index, acc))
         step = steps[i]
         if type(step) is not str:
-            return bind(step, lambda child: walk(i + 1, acc + (child if last is None else _node_of(child),)))
+            return bind(step, lambda child: walk(i + 1, acc + (_node_of(child),)))
         if step:
             return _read(lambda response: walk(i + 1, acc) if response.char == step else _DEAD)
         return _read_end(lambda response: walk(i + 1, acc) if response == UNIT else _DEAD)
@@ -429,17 +407,27 @@ def from_prods(g: Grammar, a: Nonterminal, follow: str | None = None) -> Computa
     return body
 
 
-def from_prods_fn(g: Grammar) -> RecursiveFn:
-    """The grammar's parser as a recursive function on nonterminal names.
+def _callee(value: Value) -> tuple[Nonterminal, str | None]:
+    """The nonterminal and follow a call input names."""
+    if isinstance(value, Nonterminal):
+        return value, None
+    if isinstance(value, PairV) and isinstance(value.first, Nonterminal) and isinstance(value.second, Str):
+        if len(value.second.text) < 2:
+            return value.first, value.second.text
+    raise TypeError(f"call inputs are nonterminals, bare or with a follow of one character or none, got {value!r}")
 
-    A name, ``Str(name)``, runs the plain body; the name paired with a
-    follow, ``PairV(Str(name), Str(follow))``, runs that follow's body:
-    the anchored one for the empty follow, a terminal's for one character.
+
+def from_prods_fn(g: Grammar) -> RecursiveFn:
+    """The grammar's parser as a recursive function on nonterminals.
+
+    A nonterminal ``a`` runs its plain body; ``a`` paired with a follow,
+    ``PairV(a, Str(follow))``, runs that follow's body: the anchored one
+    for the empty follow, a terminal's for one character.  Any other input
+    raises ``TypeError``.
     """
-    callee = _index(g).callee
 
     def body(value: Value) -> Computation:
-        return from_prods(g, *callee(value))
+        return from_prods(g, *_callee(value))
 
     return RecursiveFn(CFG_ROW, body)
 
@@ -490,9 +478,9 @@ def spec_produce(g: Grammar, a: Nonterminal, text: str, anchored: bool = False) 
             if s.startswith(head.char):
                 return walk(rest, s[1:], depth, anchored)
             return ()
-        assert isinstance(head, NonTerm)
+        assert isinstance(head, Nonterminal)
         out: list[tuple[tuple[SemValue, ...], str]] = []
-        for child, remainder in produce(head.nonterminal, s, depth - 1, anchored and not rest):
+        for child, remainder in produce(head, s, depth - 1, anchored and not rest):
             for children, final in walk(rest, remainder, depth, anchored):
                 out.append(((child,) + children, final))
         return tuple(out)
@@ -516,9 +504,9 @@ def left_rec_links(g: Grammar) -> tuple[tuple[Nonterminal, Nonterminal, int], ..
     links: dict[tuple[Nonterminal, Nonterminal, int], None] = {}
     for production in g.productions:
         for symbol in production.rhs:
-            if not isinstance(symbol, NonTerm):
+            if not isinstance(symbol, Nonterminal):
                 break
-            links[(production.lhs, symbol.nonterminal, production.index)] = None
+            links[(production.lhs, symbol, production.index)] = None
     return tuple(links)
 
 
@@ -619,7 +607,7 @@ def parse(g: Grammar, a: Nonterminal, text: str) -> tuple[tuple[SemValue, str], 
     the effectful parser with the proven fuel budget.  Running out of fuel
     is therefore not an input condition but a broken invariant, and raises.
     """
-    outcome = _run(g, Str(a.name), text)
+    outcome = _run(g, a, text)
     results: list[tuple[SemValue, str]] = []
     for value, state in outcome.results:
         assert state is not None
@@ -640,7 +628,7 @@ def parse_full(g: Grammar, a: Nonterminal, text: str, fuel: int | None = None) -
     makes, in the same order, so it runs dry exactly when
     :func:`run_with_fuel` on the plain body does.
     """
-    outcome = _run(g, PairV(Str(a.name), _END), text, fuel)
+    outcome = _run(g, PairV(a, _END), text, fuel)
     if not isinstance(outcome, Done):
         return outcome
     return tuple(_node_of(value) for value, _ in outcome.results)
@@ -682,7 +670,7 @@ def check_variant(g: Grammar, samples: Iterable[tuple[Nonterminal, str]]) -> boo
     queue: list[tuple[Nonterminal, str]] = list(samples)
 
     def answer(command: Command, state: str | None, fuel: int) -> list[tuple[Computation, str, int]]:
-        callee, follow = _index(g).callee(command.payload)
+        callee, follow = _callee(command.payload)
         assert state is not None
         shrinks = len(state) < len(start)
         linked = (caller, callee) in link_pairs and len(state) <= len(start)
@@ -800,11 +788,6 @@ def grammar_from_text(text: str) -> Grammar:
             else:
                 alternatives[-1].append(token)
         for items in alternatives:
-            rhs: list[GSymbol] = []
-            for kind, payload in items:
-                if kind == "term":
-                    rhs.append(Term(payload))
-                else:
-                    rhs.append(NonTerm(Nonterminal(payload)))
-            productions.append(Production(lhs, tuple(rhs), len(productions)))
+            rhs = tuple(Term(payload) if kind == "term" else Nonterminal(payload) for kind, payload in items)
+            productions.append(Production(lhs, rhs, len(productions)))
     return Grammar(tuple(productions))

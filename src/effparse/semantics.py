@@ -118,9 +118,6 @@ class SemanticsRow:
 
     transformers: tuple[PredicateTransformer, ...]
 
-    def effects(self) -> tuple[EffectId, ...]:
-        return tuple(pt.effect for pt in self.transformers)
-
 
 @dataclass(frozen=True)
 class Spec:

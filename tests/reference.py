@@ -27,7 +27,6 @@ from effparse.cfg import (
     ChainReport,
     Grammar,
     GSymbol,
-    NonTerm,
     Nonterminal,
     Production,
     SemValue,
@@ -41,7 +40,6 @@ from effparse.core import (
     ListV,
     Op,
     Pure,
-    Str,
     Value,
     bind,
     call,
@@ -176,8 +174,8 @@ def build_parser(g: Grammar, rhs: tuple[GSymbol, ...], acc: tuple[Value, ...] = 
     head, rest = rhs[0], rhs[1:]
     if isinstance(head, Term):
         return bind(exact(head.char), lambda _: build_parser(g, rest, acc))
-    assert isinstance(head, NonTerm)
-    return bind(call(CFG_ROW, Str(head.nonterminal.name)), lambda child: build_parser(g, rest, acc + (child,)))
+    assert isinstance(head, Nonterminal)
+    return bind(call(CFG_ROW, head), lambda child: build_parser(g, rest, acc + (child,)))
 
 
 def _from_prod(g: Grammar, production: Production) -> Computation:
@@ -196,7 +194,7 @@ def from_prods(g: Grammar, a: Nonterminal) -> Computation:
 
 
 def from_prods_fn(g: Grammar) -> RecursiveFn:
-    return RecursiveFn(CFG_ROW, lambda value: from_prods(g, Nonterminal(value.text)))  # type: ignore[attr-defined]
+    return RecursiveFn(CFG_ROW, lambda value: from_prods(g, value))  # type: ignore[arg-type]
 
 
 def wp(row: SemanticsRow, m: Computation, post: StatefulPost, state: str | None) -> bool:

@@ -10,7 +10,6 @@ from effparse.cfg import (
     Grammar,
     GrammarError,
     GrammarSyntaxError,
-    NonTerm,
     Nonterminal,
     Production,
     SemValue,
@@ -53,7 +52,7 @@ def load(family_entry) -> tuple[Grammar, Nonterminal, str]:
 def test_grammar_text_golden() -> None:
     g = grammar_from_text("E -> 'a' E | 'b'\n")
     assert g.productions == (
-        Production(E, (Term("a"), NonTerm(E)), 0),
+        Production(E, (Term("a"), E), 0),
         Production(E, (Term("b"),), 1),
     )
 
@@ -128,19 +127,19 @@ def test_exact_consumes_one_matching_character() -> None:
 
 def test_build_parser_calls_for_nonterminals() -> None:
     g, _, _ = load(G_RIGHT_REC)
-    m = build_parser(g, (Term("a"), NonTerm(E)))
+    m = build_parser(g, (Term("a"), E), g.productions[0])
     assert isinstance(m, Op)
     assert m.command.kind is CommandKind.SYMBOL
     # Consuming 'a' leaves a recursive call for E.
     after = m.resume(Ch("a"))
     assert isinstance(after, Op)
     assert after.command.kind is CommandKind.CALL
-    assert after.command.payload == Str("E")
+    assert after.command.payload == E
 
 
 def test_from_prods_delivers_nodes_with_production_indices() -> None:
     g, start, _ = load(G_RIGHT_REC)
-    outcome = run_with_fuel(from_prods_fn(g), Str("E"), parse_fuel(2, 1), state0="ab")
+    outcome = run_with_fuel(from_prods_fn(g), E, parse_fuel(2, 1), state0="ab")
     assert isinstance(outcome, Done)
     full = [(v, s) for v, s in outcome.results if s == ""]
     assert full == [(SemValue(E, 0, (SemValue(E, 1, ()),)), "")]
@@ -292,7 +291,7 @@ def test_fuel_formula_boundary_grammar() -> None:
     with pytest.raises(TerminationInvariantError):
         parse(g, s, "")
     # Six expansions finish what the formula's four could not.
-    outcome = run_with_fuel(from_prods_fn(g), Str("S"), 6, state0="")
+    outcome = run_with_fuel(from_prods_fn(g), s, 6, state0="")
     assert isinstance(outcome, Done)
 
 

@@ -27,7 +27,6 @@ import pytest
 
 from effparse.cfg import (
     Grammar,
-    NonTerm,
     Nonterminal,
     Production,
     Term,
@@ -42,7 +41,7 @@ from effparse.cfg import (
     spec_produce,
 )
 from effparse import cfg
-from effparse.core import PARSER_ROW, UNIT, Ch, PairV, Str, fail
+from effparse.core import PARSER_ROW, UNIT, Ch, PairV, Str, Value, fail
 from effparse.handlers import Done, Exhausted, TerminationInvariantError, _unfold, run_parser_prefix, run_with_fuel
 from effparse.semantics import PARSER_SEMANTICS, in_language
 
@@ -86,7 +85,7 @@ def random_acyclic_grammar(rng: random.Random) -> tuple[Grammar, Nonterminal]:
             for _ in range(rng.randint(0, 3)):
                 later = names[i + 1 :] if leading else names
                 if later and rng.random() < 0.4:
-                    rhs.append(NonTerm(rng.choice(later)))
+                    rhs.append(rng.choice(later))
                 else:
                     rhs.append(Term(rng.choice("ab")))
                     leading = False
@@ -120,7 +119,7 @@ def test_parser_agrees_with_the_reference_in_order(name: str, g: Grammar, start:
     new_fn, old_fn = from_prods_fn(g), reference.from_prods_fn(g)
     for text in texts:
         fuel = parse_fuel(len(text), bound)
-        old = run_with_fuel(old_fn, Str(start.name), fuel, state0=text)
+        old = run_with_fuel(old_fn, start, fuel, state0=text)
         if isinstance(old, Done):
             assert parse(g, start, text) == tuple((value, rest) for value, rest in old.results)
         else:
@@ -131,8 +130,8 @@ def test_parser_agrees_with_the_reference_in_order(name: str, g: Grammar, start:
                 parse(g, start, text)
         # Short budgets too, where some paths run dry.
         for short in range(min(fuel, 3)):
-            assert run_with_fuel(new_fn, Str(start.name), short, state0=text) == run_with_fuel(
-                old_fn, Str(start.name), short, state0=text
+            assert run_with_fuel(new_fn, start, short, state0=text) == run_with_fuel(
+                old_fn, start, short, state0=text
             )
         expanded = expanded_parser(g, start, fuel)
         old_expanded = _unfold(old_fn, reference.from_prods(g, start), fuel, fail(PARSER_ROW))
@@ -158,8 +157,8 @@ def test_each_expansion_asks_for_its_body_once(name: str, monkeypatch: pytest.Mo
     monkeypatch.setattr(reference, "from_prods", counted("old", reference.from_prods))
     sample = (alphabet * 3)[:5]
     fuel = parse_fuel(len(sample), chain_bound(g).bound)
-    new = run_with_fuel(from_prods_fn(g), Str(start), fuel, state0=sample)
-    old = run_with_fuel(reference.from_prods_fn(g), Str(start), fuel, state0=sample)
+    new = run_with_fuel(from_prods_fn(g), Nonterminal(start), fuel, state0=sample)
+    old = run_with_fuel(reference.from_prods_fn(g), Nonterminal(start), fuel, state0=sample)
     assert new == old
     assert asked["new"] == asked["old"] > 1
 
@@ -184,7 +183,7 @@ def test_parse_full_runs_dry_on_the_budgets_parse_does(name: str, g: Grammar, st
     plain_fn = from_prods_fn(g)
     for text in texts:
         for fuel in range(parse_fuel(len(text), bound) + 1):
-            plain = run_with_fuel(plain_fn, Str(start.name), fuel, state0=text)
+            plain = run_with_fuel(plain_fn, start, fuel, state0=text)
             full = parse_full(g, start, text, fuel)
             if isinstance(plain, Done):
                 assert full == tuple(value for value, rest in plain.results if rest == "")
@@ -196,7 +195,7 @@ def _follows(g: Grammar) -> list[str]:
     """Each terminal right after a nonterminal somewhere in ``g``, then one
     terminal that never is (or a character ``g`` never reads)."""
     follows = sorted(
-        {b.char for p in g.productions for a, b in zip(p.rhs, p.rhs[1:]) if isinstance(a, NonTerm) and isinstance(b, Term)}
+        {b.char for p in g.productions for a, b in zip(p.rhs, p.rhs[1:]) if isinstance(a, Nonterminal) and isinstance(b, Term)}
     )
     terminals = {s.char for p in g.productions for s in p.rhs if isinstance(s, Term)}
     return follows + [min(terminals - set(follows), default="#")]
@@ -215,8 +214,8 @@ def test_follow_calls_are_plain_calls_filtered_by_their_terminal(
         for t in _follows(g):
             for text in texts:
                 for fuel in range(parse_fuel(len(text), bound) + 1):
-                    plain = run_with_fuel(fn, Str(a.name), fuel, state0=text)
-                    followed = run_with_fuel(fn, PairV(Str(a.name), Str(t)), fuel, state0=text)
+                    plain = run_with_fuel(fn, a, fuel, state0=text)
+                    followed = run_with_fuel(fn, PairV(a, Str(t)), fuel, state0=text)
                     if isinstance(plain, Done):
                         assert followed == Done(tuple((v, rest[1:]) for v, rest in plain.results if rest[:1] == t))
                     else:
@@ -240,7 +239,7 @@ def test_parse_full_asks_for_as_many_bodies_as_the_plain_parser(
         fuel = parse_fuel(len(text), bound)
         for budget in (fuel // 2, fuel):
             asked[0] = 0
-            plain = run_with_fuel(from_prods_fn(g), Str(start.name), budget, state0=text)
+            plain = run_with_fuel(from_prods_fn(g), start, budget, state0=text)
             plain_asks = asked[0]
             asked[0] = 0
             full = parse_full(g, start, text, budget)
@@ -261,7 +260,7 @@ def test_a_body_is_built_once_per_grammar_and_dies_with_it() -> None:
     E = Nonterminal("E")
     body = from_prods(g, E)
     assert from_prods(g, E) is body
-    assert from_prods_fn(g).body(Str("E")) is body
+    assert from_prods_fn(g).body(E) is body
     parse(g, E, "(x+x)+x")
     assert from_prods(g, E) is body
     # An equal grammar is another object and builds its own bodies.
@@ -279,8 +278,9 @@ def test_a_body_is_built_once_per_grammar_and_dies_with_it() -> None:
 
 
 def test_call_inputs_find_their_bodies_by_identity_or_by_equality() -> None:
-    """The grammar's own call inputs are found by identity; equal inputs
-    built elsewhere reach the same bodies, and other inputs are refused."""
+    """The grammar's own call inputs and equal ones built elsewhere reach
+    the same bodies; other inputs, nonterminal names among them, are
+    refused with ``TypeError``."""
     g = grammar_from_text(BENCH_GRAMMARS["expression"][0])
     E = Nonterminal("E")
     body = from_prods_fn(g).body
@@ -288,13 +288,25 @@ def test_call_inputs_find_their_bodies_by_identity_or_by_equality() -> None:
     parse(g, E, "(x)")
     assert ("E", ")") in cfg._index(g).steps
     # Plain, anchored, and followed by ')'.
-    for follow, fresh in ((None, Str("E")), ("", PairV(Str("E"), Str(""))), (")", PairV(Str("E"), Str(")")))):
+    fresh_E = Nonterminal("E")
+    assert isinstance(fresh_E, Value)
+    for follow, fresh in ((None, fresh_E), ("", PairV(fresh_E, Str(""))), (")", PairV(fresh_E, Str(")")))):
         own = cfg._index(g).step(E, follow).command.payload
         assert own == fresh and own is not fresh
         assert body(own) is body(fresh) is from_prods(g, E, follow)
     # A follow no right-hand side has is still one character.
-    assert body(PairV(Str("E"), Str("x"))) is from_prods(g, E, "x")
-    for other in (Ch("E"), UNIT, PairV(Str("E"), Str("))")), PairV(Str("E"), Ch(")")), PairV(Ch("E"), Str(""))):
+    assert body(PairV(fresh_E, Str("x"))) is from_prods(g, E, "x")
+    for other in (
+        Ch("E"),
+        UNIT,
+        Str("E"),
+        Str(""),
+        PairV(Str(""), Str("")),
+        PairV(Str("E"), Str("")),
+        PairV(fresh_E, Str("))")),
+        PairV(fresh_E, Ch(")")),
+        PairV(Ch("E"), Str("")),
+    ):
         with pytest.raises(TypeError):
             body(other)
 
@@ -308,7 +320,7 @@ def test_chain_bound_agrees_with_the_recursive_search() -> None:
         for lhs in names:
             for _ in range(rng.randint(1, 3)):
                 rhs = tuple(
-                    NonTerm(rng.choice(names)) if rng.random() < 0.5 else Term("a")
+                    rng.choice(names) if rng.random() < 0.5 else Term("a")
                     for _ in range(rng.randint(0, 3))
                 )
                 productions.append(Production(lhs, rhs, len(productions)))

@@ -137,6 +137,17 @@ def test_match_results_satisfy_the_relation() -> None:
                 assert is_match(r, s, t)
 
 
+def test_invariant_outputs_satisfy_its_relation() -> None:
+    """Every output the invariant enumerates is related to its input; a
+    value that is not a parse tree is related to none."""
+    for r in regexes_up_to(3):
+        for s in strings_up_to(2):
+            call_input = match_input(r, s)
+            for output in INV.outputs_for(call_input):
+                assert INV.relation(call_input, output)
+            assert not INV.relation(call_input, Str("x"))
+
+
 # ---------------------------------------------------------------------------
 # Derivatives
 # ---------------------------------------------------------------------------
