@@ -15,10 +15,11 @@ led by terminals shares one read, and those the character does not start
 have no results and make no call, so results, order, calls and fuel stay.
 
 Left recursion makes naive unfolding diverge, so :func:`chain_bound`
-analyses the grammar's left-recursion links first: grammars whose link
-graph is cyclic are rejected, and for the rest the longest chain yields a
-fuel budget — ``(len(input) + 1) * (bound + 1)`` — under which
-:func:`parse` provably finishes.  (A left-corner transform would make
+analyses the grammar's left-recursion links first, in one depth-first
+search that reports either a cycle or a bound (:class:`ChainReport`):
+grammars whose link graph is cyclic are rejected, and for the rest the
+longest chain yields a fuel budget — ``(len(input) + 1) * (bound + 1)`` —
+under which :func:`parse` provably finishes.  (A left-corner transform would make
 cyclic grammars workable; this library just reports them.)
 
 :func:`parse` gives every parse of every prefix, as the paper does.
@@ -33,7 +34,9 @@ body reads itself.  The calls stay, so they run dry on the same budgets.
 :func:`spec_produce` is the independent oracle: a direct brute-force
 enumeration of the derivation relation, prefix or anchored, against which
 the effectful parser is checked.  The grammar file format understood by
-the command line lives in :func:`grammar_from_text`.
+the command line lives in :func:`grammar_from_text`, which reads each line
+in one pass of its tokenizer; every problem with a grammar, from a
+malformed line to an empty nonterminal name, raises a :class:`GrammarError`.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ class Nonterminal(GSymbol, Value):
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise ValueError("nonterminal names are nonempty")
+            raise GrammarError("nonterminal names are nonempty")
 
 
 @dataclass(frozen=True)
@@ -227,22 +230,25 @@ _set_nt, _set_production, _set_children = (SemValue.__dict__[f].__set__ for f in
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Left-recursion analysis: the links, and a chain-length bound if any.
+    """Left-recursion analysis: the links, and a chain-length bound or a cycle.
 
-    ``links`` holds (from, to, witness production index) triples; ``bound``
-    is the least number strictly greater than every chain length, present
-    exactly when the link graph is acyclic; ``cycle`` names a witness cycle
-    otherwise (first nonterminal repeated at the end).
+    ``links`` holds (from, to, witness production index) triples.  A report
+    holds exactly one of ``bound``, the least number strictly greater than
+    every chain length, when the link graph is acyclic, and ``cycle``, a
+    witness cycle (first nonterminal repeated at the end), when it is not.
     """
 
     links: tuple[tuple[Nonterminal, Nonterminal, int], ...]
     bound: int | None
-    cyclic: bool
     cycle: tuple[Nonterminal, ...] | None = None
 
     def __post_init__(self) -> None:
-        if (self.bound is None) != self.cyclic:
-            raise ValueError("bound must be absent exactly when cyclic")
+        if (self.bound is None) == (self.cycle is None):
+            raise ValueError("a chain report holds exactly one of a bound and a cycle")
+
+    @property
+    def cyclic(self) -> bool:
+        return self.cycle is not None
 
 
 def format_sem_value(value: SemValue, as_json: bool = False) -> str:
@@ -514,51 +520,40 @@ def chain_bound(g: Grammar) -> ChainReport:
     """Analyse the link graph: a cycle witness, or a bound on chain lengths.
 
     The bound is one more than the longest path in the (acyclic) graph —
-    every chain of links is strictly shorter than it.
+    every chain of links is strictly shorter than it.  The search is depth
+    first from each link source in name order, trying successors in link
+    order, and the cycle it reports is the first one it closes.  It keeps
+    its open path on a list, not on the Python stack, so a chain of any
+    length is analysed at the default recursion limit.
     """
     links = left_rec_links(g)
     successors: dict[Nonterminal, list[Nonterminal]] = {}
     for source, target, _ in links:
         successors.setdefault(source, []).append(target)
 
-    # Depth-first search with an explicit color map, and the open nodes on
-    # a stack beside their remaining successors: find a cycle if any,
-    # otherwise the longest path from each node (a running best while the
-    # node is open).
-    state: dict[Nonterminal, str] = {}
+    # The open path, its nodes as a set, and the successors each open node
+    # has left to try; the bottom entry holds the roots.  A node closes once
+    # all its successors have, so its longest chain is computed then.
+    path: list[Nonterminal] = []
+    on_path: set[Nonterminal] = set()
+    untried: list[Iterator[Nonterminal]] = [iter(sorted(successors, key=lambda nt: nt.name))]
     longest: dict[Nonterminal, int] = {}
-    visiting: list[Nonterminal] = []
-    pending: list[Iterator[Nonterminal]] = []
-
-    def open_node(node: Nonterminal) -> None:
-        state[node], longest[node] = "visiting", 0
-        visiting.append(node)
-        pending.append(iter(successors.get(node, ())))
-
-    def extend(node: Nonterminal, target: Nonterminal) -> None:
-        longest[node] = max(longest[node], 1 + longest[target])
-
-    for root in sorted({source for source, _, _ in links}, key=lambda nt: nt.name):
-        if state.get(root) == "done":
-            continue
-        open_node(root)
-        while pending:
-            for target in pending[-1]:
-                if state.get(target) == "visiting":
-                    cycle = tuple(visiting[visiting.index(target):]) + (target,)
-                    return ChainReport(links, None, True, cycle)
-                if state.get(target) != "done":
-                    open_node(target)
-                    break
-                extend(visiting[-1], target)
-            else:
-                pending.pop()
-                node = visiting.pop()
-                state[node] = "done"
-                if visiting:
-                    extend(visiting[-1], node)
-    bound = 1 + max(longest.values(), default=0)
-    return ChainReport(links, bound, False)
+    while untried:
+        for target in untried[-1]:
+            if target in on_path:
+                return ChainReport(links, None, tuple(path[path.index(target):]) + (target,))
+            if target not in longest:
+                path.append(target)
+                on_path.add(target)
+                untried.append(iter(successors.get(target, ())))
+                break
+        else:
+            untried.pop()
+            if path:
+                node = path.pop()
+                on_path.remove(node)
+                longest[node] = max((1 + longest[t] for t in successors.get(node, ())), default=0)
+    return ChainReport(links, 1 + max(longest.values(), default=0))
 
 
 def parse_fuel(input_length: int, bound: int) -> int:
@@ -580,10 +575,8 @@ def parse_fuel(input_length: int, bound: int) -> int:
 def _proven_fuel(g: Grammar, length: int) -> int:
     """The proven budget for ``length`` characters; rejects cyclic grammars."""
     report = chain_bound(g)
-    if report.cyclic:
-        assert report.cycle is not None
+    if report.cycle is not None:
         raise CyclicGrammarError(report.cycle)
-    assert report.bound is not None
     return parse_fuel(length, report.bound)
 
 
@@ -704,38 +697,27 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TERM_ESCAPES = {"'": "'", "\\": "\\", "n": "\n", "t": "\t"}
 
 
-def _strip_comment(line: str) -> str:
-    in_quote = False
+def _tokenize(line: str, lineno: int) -> list[GSymbol | str]:
+    """The tokens of one line: symbols, and the marks ``"->"`` and ``"|"``.
+
+    A ``#`` met between tokens ends the line; inside a terminal it is the
+    terminal's character, so only the terminal reader knows the quote rule.
+    """
+    tokens: list[GSymbol | str] = []
     i = 0
     while i < len(line):
         c = line[i]
-        if c == "#" and not in_quote:
-            return line[:i]
-        if c == "'":
-            in_quote = not in_quote
-        elif c == "\\" and in_quote:
-            i += 1
-        i += 1
-    return line
-
-
-def _tokenize(line: str, lineno: int) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    i = 0
-    while i < len(line):
-        c = line[i]
+        if c == "#":
+            break
         if c in " \t":
             i += 1
-            continue
-        if line.startswith("->", i):
-            tokens.append(("arrow", "->"))
+        elif line.startswith("->", i):
+            tokens.append("->")
             i += 2
-            continue
-        if c == "|":
-            tokens.append(("pipe", "|"))
+        elif c == "|":
+            tokens.append("|")
             i += 1
-            continue
-        if c == "'":
+        elif c == "'":
             i += 1
             if i >= len(line):
                 raise GrammarSyntaxError(f"line {lineno}: unterminated terminal")
@@ -750,14 +732,13 @@ def _tokenize(line: str, lineno: int) -> list[tuple[str, str]]:
             if i >= len(line) or line[i] != "'":
                 raise GrammarSyntaxError(f"line {lineno}: terminals hold exactly one character")
             i += 1
-            tokens.append(("term", char))
-            continue
-        match = _IDENT.match(line, i)
-        if match:
-            tokens.append(("ident", match.group()))
+            tokens.append(Term(char))
+        else:
+            match = _IDENT.match(line, i)
+            if not match:
+                raise GrammarSyntaxError(f"line {lineno}: unexpected character {c!r}")
+            tokens.append(Nonterminal(match.group()))
             i = match.end()
-            continue
-        raise GrammarSyntaxError(f"line {lineno}: unexpected character {c!r}")
     return tokens
 
 
@@ -768,26 +749,25 @@ def grammar_from_text(text: str) -> Grammar:
     identifiers or single-quoted terminal characters (``\\'``, ``\\\\``,
     ``\\n``, ``\\t`` escapes); an empty item list derives the empty string.
     ``|`` separates alternative right-hand sides for the same left-hand
-    side, ``#`` starts a comment, and blank lines are skipped.  Production
-    indices follow file order.
+    side, ``#`` outside a terminal starts a comment (``'#'`` is a terminal),
+    and blank lines are skipped.  Production indices follow file order.
+    Malformed lines raise :class:`GrammarSyntaxError` naming the line.
     """
     productions: list[Production] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        tokens = _tokenize(_strip_comment(raw), lineno)
+    for lineno, line in enumerate(text.splitlines(), 1):
+        tokens = _tokenize(line, lineno)
         if not tokens:
             continue
-        if tokens[0][0] != "ident" or len(tokens) < 2 or tokens[1][0] != "arrow":
+        lhs = tokens[0]
+        if not isinstance(lhs, Nonterminal) or tokens[1:2] != ["->"]:
             raise GrammarSyntaxError(f"line {lineno}: expected 'Name -> …'")
-        lhs = Nonterminal(tokens[0][1])
-        alternatives: list[list[tuple[str, str]]] = [[]]
-        for token in tokens[2:]:
-            if token[0] == "pipe":
-                alternatives.append([])
-            elif token[0] == "arrow":
+        rhs: list[GSymbol] = []
+        for token in tokens[2:] + ["|"]:
+            if token == "->":
                 raise GrammarSyntaxError(f"line {lineno}: unexpected '->'")
+            if token == "|":
+                productions.append(Production(lhs, tuple(rhs), len(productions)))
+                rhs = []
             else:
-                alternatives[-1].append(token)
-        for items in alternatives:
-            rhs = tuple(Term(payload) if kind == "term" else Nonterminal(payload) for kind, payload in items)
-            productions.append(Production(lhs, rhs, len(productions)))
+                rhs.append(token)
     return Grammar(tuple(productions))

@@ -4,7 +4,9 @@ Batch commands with deterministic, byte-stable output: results go to
 stdout one per line, diagnostics to stderr.  Exit codes are uniform across
 commands: 0 when results were found (or the check passed), 1 when there
 were none (or the grammar was rejected), 2 for syntax or usage errors, and
-3 when a fuel budget ran out.
+3 when a fuel budget ran out.  The ``cmd_*`` functions return the codes of
+their own outcomes and raise on bad input; :func:`main` alone maps those
+errors to exit codes, printing ``error: …`` on stderr.
 """
 
 from __future__ import annotations
@@ -51,12 +53,11 @@ def _emit_results(lines: list[str], max_results: int | None) -> int:
 
 
 def cmd_match(pattern: str, text: str, fuel: int | None, engine: str, as_json: bool, max_results: int | None) -> int:
-    """Print one parse-tree witness per line for ``text`` against ``pattern``."""
-    try:
-        r = parse_regex(pattern)
-    except RegexSyntaxError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    """Print one parse-tree witness per line for ``text`` against ``pattern``.
+
+    Raises :class:`~effparse.regex.RegexSyntaxError` on a malformed pattern.
+    """
+    r = parse_regex(pattern)
     if engine == "structural":
         if not has_no_star(r) and fuel is None:
             print(
@@ -77,12 +78,11 @@ def cmd_match(pattern: str, text: str, fuel: int | None, engine: str, as_json: b
 
 
 def cmd_derive(pattern: str, text: str) -> int:
-    """Print the derivative chain of ``pattern`` along ``text``, then nullability."""
-    try:
-        r = parse_regex(pattern)
-    except RegexSyntaxError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    """Print the derivative chain of ``pattern`` along ``text``, then nullability.
+
+    Raises :class:`~effparse.regex.RegexSyntaxError` on a malformed pattern.
+    """
+    r = parse_regex(pattern)
     print(format_regex(r))
     for c in text:
         r = derivative(r, c)
@@ -91,21 +91,17 @@ def cmd_derive(pattern: str, text: str) -> int:
     return 0
 
 
-def _load_grammar(path: str) -> Grammar | int:
+def _load_grammar(path: str) -> Grammar:
+    """The grammar in the file at ``path``; raises :class:`GrammarError`
+    when the file cannot be read, is not UTF-8, or is not a grammar."""
     try:
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
     except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise GrammarError(str(error)) from error
     except UnicodeDecodeError as error:
-        print(f"error: {path}: not UTF-8 text ({error.reason} at byte {error.start})", file=sys.stderr)
-        return 2
-    try:
-        return grammar_from_text(source)
-    except GrammarError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise GrammarError(f"{path}: not UTF-8 text ({error.reason} at byte {error.start})") from error
+    return grammar_from_text(source)
 
 
 def _cycle_text(cycle: tuple[Nonterminal, ...]) -> str:
@@ -113,15 +109,15 @@ def _cycle_text(cycle: tuple[Nonterminal, ...]) -> str:
 
 
 def cmd_cfg_check(path: str) -> int:
-    """Report the grammar's left-recursion links and chain bound (or cycle)."""
-    grammar = _load_grammar(path)
-    if isinstance(grammar, int):
-        return grammar
-    report = chain_bound(grammar)
+    """Report the grammar's left-recursion links and chain bound (or cycle).
+
+    Raises :class:`~effparse.cfg.GrammarError` when the grammar file cannot
+    be loaded.
+    """
+    report = chain_bound(_load_grammar(path))
     for source, target, index in report.links:
         print(f"link: {source.name} -> {target.name} (production {index})")
-    if report.cyclic:
-        assert report.cycle is not None
+    if report.cycle is not None:
         print(f"cyclic: {_cycle_text(report.cycle)}")
         return 1
     print(f"bound: {report.bound}")
@@ -133,24 +129,19 @@ def cmd_cfg_parse(path: str, start: str, text: str, fuel: int | None, as_json: b
 
     Only parses of the whole input are computed (:func:`~effparse.cfg.parse_full`),
     on the proven budget or on ``--fuel``, so on right recursion the run
-    takes time linear in the input rather than quadratic.
+    takes time linear in the input rather than quadratic.  A cyclic grammar
+    without ``--fuel`` prints its cycle and returns 1.  Raises
+    :class:`~effparse.cfg.GrammarError` when the grammar file cannot be
+    loaded or ``start`` is empty, and
+    :class:`~effparse.handlers.TerminationInvariantError` when the proven
+    budget runs out.
     """
     grammar = _load_grammar(path)
-    if isinstance(grammar, int):
-        return grammar
     try:
-        start_nt = Nonterminal(start)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        parses = parse_full(grammar, start_nt, text, fuel)
+        parses = parse_full(grammar, Nonterminal(start), text, fuel)
     except CyclicGrammarError as error:
         print(f"cyclic: {_cycle_text(error.cycle)}", file=sys.stderr)
         return 1
-    except TerminationInvariantError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 3
     if isinstance(parses, Exhausted):
         print("error: fuel exhausted", file=sys.stderr)
         return 3
@@ -202,19 +193,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The one place that maps errors to exit codes: a malformed pattern, or a
+    grammar that cannot be loaded, exits 2, and a proven fuel budget that
+    runs out exits 3, each with ``error: …`` on stderr.
+    """
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exit_request:
         code = exit_request.code
         return code if isinstance(code, int) else 2
-    if args.command == "match":
-        return cmd_match(args.pattern, args.input, args.fuel, args.engine, args.format == "json-lines", args.max_results)
-    if args.command == "derive":
-        return cmd_derive(args.pattern, args.input)
-    if args.command == "cfg-check":
-        return cmd_cfg_check(args.grammar)
-    assert args.command == "cfg-parse"
-    return cmd_cfg_parse(args.grammar, args.start, args.input, args.fuel, args.format == "json-lines", args.max_results)
+    try:
+        if args.command == "match":
+            return cmd_match(args.pattern, args.input, args.fuel, args.engine, args.format == "json-lines", args.max_results)
+        if args.command == "derive":
+            return cmd_derive(args.pattern, args.input)
+        if args.command == "cfg-check":
+            return cmd_cfg_check(args.grammar)
+        assert args.command == "cfg-parse"
+        return cmd_cfg_parse(args.grammar, args.start, args.input, args.fuel, args.format == "json-lines", args.max_results)
+    except (RegexSyntaxError, GrammarError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    except TerminationInvariantError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

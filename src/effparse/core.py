@@ -73,8 +73,9 @@ class Value:
     """Base class for the closed union of values computations may produce.
 
     Besides the classes below, the union holds regexes, their parse trees
-    (``regex.Regex``, ``regex.ParseTree``) and grammar derivations
-    (``cfg.SemValue``), which calls take and return as they are.
+    (``regex.Regex``, ``regex.ParseTree``), nonterminals (``cfg.Nonterminal``)
+    and grammar derivations (``cfg.SemValue``), which calls take and return
+    as they are.
     """
 
     __slots__ = ()

@@ -243,5 +243,5 @@ def chain_bound(g: Grammar) -> ChainReport:
         if state.get(node) != "done":
             cycle = explore(node)
             if cycle is not None:
-                return ChainReport(links, None, True, cycle)
-    return ChainReport(links, 1 + max(longest.values(), default=0), False)
+                return ChainReport(links, None, cycle)
+    return ChainReport(links, 1 + max(longest.values(), default=0))

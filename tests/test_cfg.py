@@ -85,6 +85,14 @@ def test_grammar_text_escapes_and_quoted_hash() -> None:
     )
 
 
+def test_a_comment_starts_only_between_tokens() -> None:
+    # ''' is the terminal ', so the # after it starts a comment.
+    assert grammar_from_text("E -> ''' # quote\n").productions == (Production(E, (Term("'"),), 0),)
+    for terminal in ("'a'", "'#'", "'|'", "'\\''", "'\\\\'", "'\\n'", "'''"):
+        line = f"E -> {terminal} E | {terminal}"
+        assert grammar_from_text(line + " # c\n") == grammar_from_text(line + "\n"), terminal
+
+
 def test_grammar_text_syntax_errors() -> None:
     for bad in (
         "E 'a'\n",          # missing arrow
@@ -215,9 +223,9 @@ def test_chain_report_validates_its_shape() -> None:
     from effparse.cfg import ChainReport
 
     with pytest.raises(ValueError):
-        ChainReport((), None, False)
+        ChainReport((), None, None)
     with pytest.raises(ValueError):
-        ChainReport((), 1, True)
+        ChainReport((), 1, (E, E))
 
 
 def test_parse_fuel_formula() -> None:

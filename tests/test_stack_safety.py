@@ -403,6 +403,12 @@ def test_cli_cfg_check_on_a_ten_thousand_link_chain(capsys, tmp_path: Path) -> N
     path = _chain_grammar(tmp_path, N)
     links = "".join(f"link: A{i} -> A{i + 1} (production {i})\n" for i in range(N))
     assert _cli(capsys, ["cfg-check", path]) == (0, links + f"bound: {N + 1}\n", "")
+    # The same chain with its last nonterminal linked back to A0.
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(f"A{N} -> A0\n")
+    links += f"link: A{N} -> A0 (production {N + 1})\n"
+    cycle = " -> ".join(f"A{i}" for i in range(N + 1)) + " -> A0"
+    assert _cli(capsys, ["cfg-check", path]) == (1, links + f"cyclic: {cycle}\n", "")
 
 
 def test_cli_cfg_parse_on_a_1500_link_chain(capsys, tmp_path: Path) -> None:

@@ -8,9 +8,12 @@
 ``--max-results 1``), ``derive``, usage errors, and ``cfg-check`` and
 ``cfg-parse`` (``--fuel`` none/0/2/5/40) on the expression, Dyck and
 palindrome grammars, a grammar whose proven budget falls short, a cyclic
-one, a malformed one, one that is not UTF-8, and a missing file.  The
-grammar files are written once to a temporary directory that both sides
-read, so file names in messages agree.
+one and a malformed one, each also with an undefined and an empty start
+symbol; one grammar per syntax error message and one that uses an
+undefined nonterminal; one that is not UTF-8, and a missing file.  The
+grammar files
+are written once to a temporary directory that both sides read, so file
+names in messages agree.
 
 Each side runs every invocation through its own ``effparse.cli.main`` in
 one child process with ``PYTHONPATH=<root>/src``, which reads the list
@@ -66,6 +69,17 @@ _GRAMMARS = (
     ("malformed.g", "E -> 'ab'\n", "E", ("ab",)),
 )
 
+#: File name and contents of grammars that fail to load, one per message.
+_BAD_GRAMMARS = (
+    ("unterminated.g", "# a terminal without its closing quote\nE -> 'a' | '\n"),
+    ("escape.g", "E -> 'a'\nE -> '\\q'\n"),
+    ("two_chars.g", "E -> 'a' # fine\nE -> 'xy'\n"),
+    ("unexpected.g", "E -> 'a' $\n"),
+    ("no_arrow.g", "E -> 'a'\n\nE 'b'\n"),
+    ("second_arrow.g", "E -> 'a' -> 'b'\n"),
+    ("undefined.g", "E -> 'a' F\n"),
+)
+
 
 def invocations(directory: Path) -> list[list[str]]:
     """The sweep's argvs; grammar files are written to ``directory``."""
@@ -89,6 +103,10 @@ def invocations(directory: Path) -> list[list[str]]:
             argvs.append(["cfg-parse", path, start, text, "--max-results", "1"])
         argvs.append(["cfg-parse", path, "Z", texts[0]])
         argvs.append(["cfg-parse", path, "", texts[0]])
+    for name, source in _BAD_GRAMMARS:
+        path = str(directory / name)
+        Path(path).write_text(source, encoding="utf-8")
+        argvs += [["cfg-check", path], ["cfg-parse", path, "E", "a"]]
     not_utf8 = directory / "latin1.g"
     not_utf8.write_bytes(b"E -> '\xe9'\n")
     missing = str(directory / "missing.g")
