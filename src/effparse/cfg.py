@@ -68,7 +68,7 @@ from .core import (
     pure,
     symbol_strict,
 )
-from .handlers import Done, Exhausted, FuelOutcome, RecursiveFn, TerminationInvariantError, _unfold, run_with_fuel
+from .handlers import Done, Exhausted, RecursiveFn, TerminationInvariantError, _unfold, run_with_fuel
 from .render import Shape, render_tree
 from .semantics import _drive
 
@@ -272,14 +272,12 @@ class _Index:
     """The input-independent parts of a grammar's parser, built once.
 
     Productions grouped by left-hand side, and, as first asked for, bodies
-    and call steps keyed by ``(name, follow)`` (see :func:`build_parser`).
-    A step calls on the nonterminal itself, or on it paired with its
-    follow.  Computations are immutable and their resumptions pure, so
-    every parse of the grammar can share them.  The index lives on its
-    grammar and is dropped with it.
+    keyed by ``(name, follow)`` (see :func:`from_prods`).  Computations are
+    immutable and their resumptions pure, so every parse of the grammar can
+    share them.  The index lives on its grammar and is dropped with it.
     """
 
-    __slots__ = ("by_lhs", "bodies", "steps")
+    __slots__ = ("by_lhs", "bodies")
 
     def __init__(self, g: Grammar) -> None:
         by_lhs: dict[Nonterminal, list[Production]] = {}
@@ -287,13 +285,6 @@ class _Index:
             by_lhs.setdefault(production.lhs, []).append(production)
         self.by_lhs = {a: tuple(ps) for a, ps in by_lhs.items()}
         self.bodies: dict[tuple[str, str | None], Computation] = {}
-        self.steps: dict[tuple[str, str | None], Computation] = {}
-
-    def step(self, a: Nonterminal, follow: str | None = None) -> Computation:
-        m = self.steps.get((a.name, follow))
-        if m is None:
-            m = self.steps[a.name, follow] = call(CFG_ROW, a if follow is None else PairV(a, Str(follow)))
-        return m
 
 
 def _index(g: Grammar) -> _Index:
@@ -316,9 +307,6 @@ def exact(c: str, row: EffectRow = CFG_ROW) -> Computation:
     return bind(symbol_strict(row), lambda response: done if response == expected else dead)
 
 
-#: The follow of an anchored call, whose input is ``PairV(a, _END)``.
-_END = Str("")
-
 #: The end-of-input check is an optional read, which answers ``UNIT`` only
 #: at the end.  Strict reads cannot tell the end apart from a failed read,
 #: and only this check uses the read, so ``CFG_ROW`` stays as it is.
@@ -338,9 +326,10 @@ def build_parser(
     """Walk a right-hand side of ``last``, delivering ``last``'s derivation node.
 
     Terminals are consumed and contribute nothing; each nonterminal is a
-    call on the recursion effect, whose answer, a derivation node, is the
-    node's next child.  ``rhs`` is ``last``'s right-hand side, or the part
-    of it after a terminal :func:`from_prods` has read already.
+    call on the recursion effect, built here once for the walk, whose
+    answer, a derivation node, is the node's next child.  ``rhs`` is
+    ``last``'s right-hand side, or the part of it after a terminal
+    :func:`from_prods` has read already.
 
     ``follow`` says what must come right after the walk: anything
     (``None``), the end of the input (``""``), or the terminal it names,
@@ -351,17 +340,15 @@ def build_parser(
     or a strict read).  So a parse the next terminal turns away dies in
     the callee instead of climbing back through its callers.
     """
-    index, n = _index(g), len(rhs)
     after = [s.char if isinstance(s, Term) else None for s in rhs[1:]] + [follow]
-    # Each call is looked up once, when the walk is built, not on every run.
     # A step is a call, a character to read, or "" for the end check.
     steps: list = []
     for i, s in enumerate(rhs):
         if isinstance(s, Nonterminal):
-            steps.append(index.step(s, after[i]))
+            steps.append(call(CFG_ROW, _call_input(s, after[i])))
         elif i == 0 or isinstance(rhs[i - 1], Term):
             steps.append(s.char)
-    if follow is not None and (n == 0 or isinstance(rhs[-1], Term)):
+    if follow is not None and (not rhs or isinstance(rhs[-1], Term)):
         steps.append(follow)
     m = len(steps)
 
@@ -413,8 +400,13 @@ def from_prods(g: Grammar, a: Nonterminal, follow: str | None = None) -> Computa
     return body
 
 
+def _call_input(a: Nonterminal, follow: str | None) -> Value:
+    """The call input naming ``a`` and ``follow``, as :func:`_callee` reads it."""
+    return a if follow is None else PairV(a, Str(follow))
+
+
 def _callee(value: Value) -> tuple[Nonterminal, str | None]:
-    """The nonterminal and follow a call input names."""
+    """The nonterminal and follow a call input names (see :func:`_call_input`)."""
     if isinstance(value, Nonterminal):
         return value, None
     if isinstance(value, PairV) and isinstance(value.first, Nonterminal) and isinstance(value.second, Str):
@@ -580,16 +572,22 @@ def _proven_fuel(g: Grammar, length: int) -> int:
     return parse_fuel(length, report.bound)
 
 
-def _run(g: Grammar, call_input: Value, text: str, fuel: int | None = None) -> FuelOutcome:
-    """Run the parser on ``text`` from ``call_input``, on ``fuel`` or on the
-    proven budget, where running dry is a broken invariant and raises."""
-    if fuel is not None:
-        return run_with_fuel(from_prods_fn(g), call_input, fuel, state0=text)
-    outcome = run_with_fuel(from_prods_fn(g), call_input, _proven_fuel(g, len(text)), state0=text)
-    if not isinstance(outcome, Done):
-        raise TerminationInvariantError(
-            "grammar parsing ran out of fuel despite an acyclic chain analysis"
-        )
+def _run(
+    g: Grammar, a: Nonterminal, follow: str | None, text: str, fuel: int | None = None
+) -> tuple[tuple[SemValue, str], ...] | Exhausted:
+    """Run ``a``'s body for ``follow`` on ``text``: its parses with remainders.
+
+    Runs on ``fuel``, returning :data:`~effparse.handlers.EXHAUSTED` if a
+    path ran dry, or without it on the proven budget, where running dry is
+    a broken invariant and raises.
+    """
+    budget = _proven_fuel(g, len(text)) if fuel is None else fuel
+    outcome = run_with_fuel(from_prods_fn(g), _call_input(a, follow), budget, state0=text)
+    if isinstance(outcome, Done):
+        # Runs start from a string state, and reads keep it one.
+        return tuple((_node_of(value), state) for value, state in outcome.results if state is not None)
+    if fuel is None:
+        raise TerminationInvariantError("grammar parsing ran out of fuel despite an acyclic chain analysis")
     return outcome
 
 
@@ -600,12 +598,7 @@ def parse(g: Grammar, a: Nonterminal, text: str) -> tuple[tuple[SemValue, str], 
     the effectful parser with the proven fuel budget.  Running out of fuel
     is therefore not an input condition but a broken invariant, and raises.
     """
-    outcome = _run(g, a, text)
-    results: list[tuple[SemValue, str]] = []
-    for value, state in outcome.results:
-        assert state is not None
-        results.append((_node_of(value), state))
-    return tuple(results)
+    return _run(g, a, None, text)
 
 
 def parse_full(g: Grammar, a: Nonterminal, text: str, fuel: int | None = None) -> tuple[SemValue, ...] | Exhausted:
@@ -621,10 +614,10 @@ def parse_full(g: Grammar, a: Nonterminal, text: str, fuel: int | None = None) -
     makes, in the same order, so it runs dry exactly when
     :func:`run_with_fuel` on the plain body does.
     """
-    outcome = _run(g, PairV(a, _END), text, fuel)
-    if not isinstance(outcome, Done):
+    outcome = _run(g, a, "", text, fuel)
+    if isinstance(outcome, Exhausted):
         return outcome
-    return tuple(_node_of(value) for value, _ in outcome.results)
+    return tuple(node for node, _ in outcome)
 
 
 def expanded_parser(g: Grammar, a: Nonterminal, depth: int) -> Computation:
@@ -750,11 +743,14 @@ def grammar_from_text(text: str) -> Grammar:
     ``\\n``, ``\\t`` escapes); an empty item list derives the empty string.
     ``|`` separates alternative right-hand sides for the same left-hand
     side, ``#`` outside a terminal starts a comment (``'#'`` is a terminal),
-    and blank lines are skipped.  Production indices follow file order.
-    Malformed lines raise :class:`GrammarSyntaxError` naming the line.
+    and blank lines are skipped.  Lines end at ``\\r\\n``, ``\\r`` or
+    ``\\n`` only: the other characters :meth:`str.splitlines` breaks at,
+    such as form feeds, belong to their line, as terminals when quoted.
+    Production indices follow file order.  Malformed lines raise
+    :class:`GrammarSyntaxError` naming the line.
     """
     productions: list[Production] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), 1):
         tokens = _tokenize(line, lineno)
         if not tokens:
             continue

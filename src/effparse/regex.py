@@ -622,7 +622,7 @@ def match_fn() -> RecursiveFn:
     return RecursiveFn(MATCH_ROW, lambda v: match_structural(*decode_match_input(v)))
 
 
-def match_spec_invariant(max_outputs: int | None = None) -> Invariant:
+def match_spec_invariant() -> Invariant:
     """The matching relation as a call invariant.
 
     Call inputs are encoded (regex, string) pairs; outputs are tree values.
@@ -637,7 +637,7 @@ def match_spec_invariant(max_outputs: int | None = None) -> Invariant:
     def enumerator(call_input: Value) -> tuple[Value, ...]:
         return enumerate_matches(*decode_match_input(call_input))
 
-    return Invariant(relation, enumerator, max_outputs)
+    return Invariant(relation, enumerator)
 
 
 # ---------------------------------------------------------------------------
@@ -858,19 +858,11 @@ def dmatch(r: Regex) -> Computation:
     shares them.
     """
     m = r._dmatch
-    if m is None:
-        m = _dmatch_of(r)
-        object.__setattr__(r, "_dmatch", m)
-    return m
-
-
-def _dmatch_of(r: Regex) -> Computation:
-    """Build :func:`dmatch`'s computation for ``r``; its steps are built on
-    first use, one per character."""
-    row = DMATCH_ROW
+    if m is not None:
+        return m
     steps: dict[str, Computation] = {}
     witness = r._nullable
-    at_end = pure(witness) if witness is not None else fail(row)
+    at_end = pure(witness) if witness is not None else fail(DMATCH_ROW)
 
     def continue_with(response: Value) -> Computation:
         if not isinstance(response, Ch):
@@ -879,10 +871,12 @@ def _dmatch_of(r: Regex) -> Computation:
         step = steps.get(x)
         if step is None:
             d, fix = _derive(r, x, True)
-            step = steps[x] = fmap(lambda t: _rectify(fix, _tree_of(t), True), call(row, d))
+            step = steps[x] = fmap(lambda t: _rectify(fix, _tree_of(t), True), call(DMATCH_ROW, d))
         return step
 
-    return bind(symbol_maybe(row), continue_with)
+    m = bind(symbol_maybe(DMATCH_ROW), continue_with)
+    object.__setattr__(r, "_dmatch", m)
+    return m
 
 
 def dmatch_fn() -> RecursiveFn:

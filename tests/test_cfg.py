@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from effparse import cfg
 from effparse.cfg import (
     CFG_ROW,
     CyclicGrammarError,
@@ -98,12 +99,27 @@ def test_grammar_text_syntax_errors() -> None:
         "E 'a'\n",          # missing arrow
         "E -> 'ab'\n",      # multi-character terminal
         "E -> 'a\n",        # unterminated terminal
+        "E -> '",           # quote at the end of the text
         "E -> '\\q'\n",     # unknown escape
         "E -> $\n",         # unexpected character
         "E -> 'a' -> 'b'\n",  # stray arrow
     ):
         with pytest.raises(GrammarSyntaxError):
             grammar_from_text(bad)
+
+
+def test_grammar_text_breaks_lines_only_at_cr_and_lf() -> None:
+    # str.splitlines also breaks at each of these; a grammar line does not.
+    for char in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        assert grammar_from_text(f"E -> '{char}'\n").productions == (Production(E, (Term(char),), 0),)
+    with pytest.raises(GrammarSyntaxError, match=r"^line 1: unexpected character '\\x0c'$"):
+        grammar_from_text("E -> 'a'\x0cF -> $")
+    # CRLF and CR-only text loads as LF text does, with the same line numbers.
+    lf = "E -> 'a' E\n\nE -> 'b'\n"
+    for newline in ("\r\n", "\r"):
+        assert grammar_from_text(lf.replace("\n", newline)) == grammar_from_text(lf)
+        with pytest.raises(GrammarSyntaxError, match=r"^line 3: unexpected character '\$'$"):
+            grammar_from_text(f"E -> 'a'{newline}{newline}E -> $")
 
 
 def test_grammar_rejects_undefined_nonterminals() -> None:
@@ -283,6 +299,14 @@ def test_variant_holds_on_family_samples() -> None:
         g, start, alphabet = load(entry)
         samples = [(start, text) for text in strings_up_to(3, alphabet)]
         assert check_variant(g, samples)
+
+
+def test_variant_fails_on_a_call_that_neither_shrinks_nor_follows_a_link(monkeypatch) -> None:
+    # E calls T on all of its input: allowed only along the link E -> T.
+    g = grammar_from_text("E -> T 'x' | 'y'\nT -> 'y'\n")
+    assert check_variant(g, [(E, "yx")]) is True
+    monkeypatch.setattr(cfg, "left_rec_links", lambda _g: ())
+    assert check_variant(g, [(E, "yx")]) is False
 
 
 def test_fuel_formula_boundary_grammar() -> None:

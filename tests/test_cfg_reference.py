@@ -284,14 +284,14 @@ def test_call_inputs_find_their_bodies_by_identity_or_by_equality() -> None:
     g = grammar_from_text(BENCH_GRAMMARS["expression"][0])
     E = Nonterminal("E")
     body = from_prods_fn(g).body
-    # F -> '(' E ')' calls E with the follow ')': the grammar built that step.
+    # F -> '(' E ')' calls E with the follow ')': the run built that body.
     parse(g, E, "(x)")
-    assert ("E", ")") in cfg._index(g).steps
+    assert ("E", ")") in cfg._index(g).bodies
     # Plain, anchored, and followed by ')'.
     fresh_E = Nonterminal("E")
     assert isinstance(fresh_E, Value)
     for follow, fresh in ((None, fresh_E), ("", PairV(fresh_E, Str(""))), (")", PairV(fresh_E, Str(")")))):
-        own = cfg._index(g).step(E, follow).command.payload
+        own = cfg._call_input(E, follow)
         assert own == fresh and own is not fresh
         assert body(own) is body(fresh) is from_prods(g, E, follow)
     # A follow no right-hand side has is still one character.

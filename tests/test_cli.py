@@ -252,4 +252,5 @@ def test_usage_errors_are_exit_two(capsys) -> None:
     assert run_cli(capsys, "no-such-command")[0] == 2
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "match", "a", "a", "--fuel", "-1")[0] == 2
+    assert run_cli(capsys, "match", "a", "a", "--fuel", "x")[0] == 2
     assert run_cli(capsys, "match", "a", "a", "--engine", "warp")[0] == 2

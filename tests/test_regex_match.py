@@ -119,6 +119,9 @@ def test_matchers_refuse_a_call_answer_that_is_not_a_tree() -> None:
         results_demonic(match_structural(Star(A), "a"), not_a_tree)
     with pytest.raises(TreeShapeError):
         results_demonic(dmatch(Star(A)), not_a_tree, state0="a")
+    not_a_list = Invariant(lambda _input, _output: True, lambda _input: (CharT("a"),))
+    with pytest.raises(TreeShapeError, match="iteration step should return"):
+        results_demonic(match_structural(Star(A), "a"), not_a_list)
     with pytest.raises(TypeError):
         dmatch_fn().body(Str("a"))
 
@@ -199,6 +202,10 @@ def test_integral_tree_rejects_misshapen_witnesses() -> None:
         integral_tree(EPSILON, "a", UNIT_TREE)
     with pytest.raises(TreeShapeError):
         integral_tree(Star(A), "a", ListT(()))
+    with pytest.raises(TreeShapeError):
+        integral_tree(Alt(A, B), "a", UNIT_TREE)
+    with pytest.raises(TreeShapeError):
+        integral_tree(Star(A), "a", PairT(UNIT_TREE, CharT("a")))
 
 
 def test_derivative_round_trip_law() -> None:

@@ -68,6 +68,7 @@ def test_parse_escapes_and_blanks() -> None:
         ("\\q", 2),
         ("a)", 2),
         ("(a", 3),
+        ("a\\", 3),
     ],
 )
 def test_parse_errors_carry_positions(pattern: str, column: int) -> None:

@@ -123,6 +123,7 @@ def invocations(directory: Path) -> list[list[str]]:
         ["match", "a", "a", "--fuel", "x"],
         ["match", "a", "a", "--engine", "nope"],
         ["match", "a", "a", "--format", "xml"],
+        ["match", "a\\", "a"],
         ["derive", "a"],
         ["cfg-check"],
         ["cfg-parse", missing, "E"],
