@@ -20,15 +20,18 @@ a fixed order; for all-results rows ``wp`` is equivalent to quantifying over
 that enumeration, which is what makes refinement executable
 (:func:`refines_all`, :func:`refines_any`).  It runs on the one iterative
 interpreter, ``_drive``, that the handlers and the grammar checks share.
-``wp`` evaluates the and/or tree of branches on an explicit stack of its
-own, short-circuiting as ``all``/``any`` do, so neither recurses once per
-command on the Python stack.
+``wp`` evaluates the and/or tree of branches in one loop of its own,
+short-circuiting as ``all``/``any`` do: a command with one branch (an
+optional read, a strict read with input left, a call with one output) is
+followed straight on, and only a command with branches left to try keeps a
+frame on an explicit stack, so neither recurses once per command on the
+Python stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     UNIT,
@@ -52,7 +55,6 @@ from .core import (
 )
 
 __all__ = [
-    "EnumerationOverflowError",
     "Invariant",
     "MissingInvariantError",
     "PredicateTransformer",
@@ -75,10 +77,6 @@ __all__ = [
 ]
 
 
-class EnumerationOverflowError(RuntimeError):
-    """An invariant's enumerator produced more outputs than its stated bound."""
-
-
 class MissingInvariantError(ValueError):
     """A computation issued a recursive call but no invariant was supplied."""
 
@@ -95,11 +93,12 @@ Branches = Sequence[tuple[Value, "str | None"]]
 class PredicateTransformer:
     """Meaning of one effect's commands as a weakest-precondition rule.
 
-    ``branches(command, state)`` lists the responses the command may get,
-    each with the parser state after it, and ``demonic`` says how they are
-    quantified: the postcondition must hold on every branch (``True``) or
-    on some branch (``False``).  :meth:`transform` is the rule this gives;
-    it is monotone in ``post`` by construction.
+    ``branches(command, state)`` returns a sequence, which the fold
+    indexes, of the responses the command may get, each with the parser
+    state after it; ``demonic`` says how they are quantified: the
+    postcondition must hold on every branch (``True``) or on some branch
+    (``False``).  :meth:`transform` is the rule this gives; it is monotone
+    in ``post`` by construction.
     """
 
     effect: EffectId
@@ -133,21 +132,14 @@ class Invariant:
 
     The enumerator must produce, for any input it is used on, a finite
     sequence containing exactly the outputs that satisfy ``relation``
-    within its documented bound.  ``max_outputs`` guards against runaway
-    enumerations: exceeding it raises, it never truncates.
+    within its documented bound.
     """
 
     relation: Callable[[Value, Value], bool]
     enumerator: Callable[[Value], Sequence[Value]]
-    max_outputs: int | None = None
 
     def outputs_for(self, call_input: Value) -> tuple[Value, ...]:
-        outputs = tuple(self.enumerator(call_input))
-        if self.max_outputs is not None and len(outputs) > self.max_outputs:
-            raise EnumerationOverflowError(
-                f"enumerator produced {len(outputs)} outputs, bound is {self.max_outputs}"
-            )
-        return outputs
+        return tuple(self.enumerator(call_input))
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +147,25 @@ class Invariant:
 # ---------------------------------------------------------------------------
 
 
-def _choose(name: str, command: Command, state: str | None) -> Branches:
-    if command.kind is _KIND_FAIL:
-        return ()
-    if command.kind is _KIND_CHOICE:
-        return ((TRUE, state), (FALSE, state))
-    raise RowError(f"{name} cannot interpret {command.kind.value}")
+def _nondet(name: str, demonic: bool) -> PredicateTransformer:
+    def branches(command: Command, state: str | None) -> Branches:
+        if command.kind is _KIND_CHOICE:
+            return ((TRUE, state), (FALSE, state))
+        if command.kind is _KIND_FAIL:
+            return ()
+        raise RowError(f"{name} cannot interpret {command.kind.value}")
+
+    return PredicateTransformer(EffectId.NONDET, demonic, branches)
 
 
 def pt_all() -> PredicateTransformer:
     """Demonic nondeterminism: the postcondition must hold on every branch."""
-    return PredicateTransformer(EffectId.NONDET, True, lambda command, state: _choose("pt_all", command, state))
+    return _nondet("pt_all", True)
 
 
 def pt_any() -> PredicateTransformer:
     """Angelic nondeterminism: some branch must satisfy the postcondition."""
-    return PredicateTransformer(EffectId.NONDET, False, lambda command, state: _choose("pt_any", command, state))
+    return _nondet("pt_any", False)
 
 
 def pt_rec(inv: Invariant) -> PredicateTransformer:
@@ -258,31 +253,45 @@ def _wp(row: SemanticsRow, m: Computation, post: StatefulPost, state: str | None
     the resumption at each branch, are built one at a time, left to right,
     and the first one that settles the node (false under all, true under
     any) cuts the rest off, exactly as ``all``/``any`` over the recursive
-    fold would.  So depth is bounded by memory, not the Python stack.
+    fold would.  An op with one branch has that branch's verdict, so the
+    loop goes straight on into it; only an op with branches left to try
+    gets a frame.  So depth is bounded by memory, not the Python stack.
     """
-    # One frame per open op: its quantifier, its resumption, its branches left.
-    stack: list[tuple[bool, Callable[[Value], Computation], Iterator]] = []
+    transformers = row.transformers
+    count = len(transformers)
+    # One frame per op with branches left: its quantifier, its resumption,
+    # its branches, and the index of the next one.
+    stack: list[tuple[bool, Callable[[Value], Computation], Branches, int]] = []
     while True:
         if isinstance(m, Pure):
             verdict = bool(post(m.value, state))
         else:
-            assert isinstance(m, Op)
-            pt = _transformer_for(row, m)
-            stack.append((pt.demonic, m.resume, iter(pt.branches(m.command, state))))
-            # Until a branch says otherwise, an op holds exactly when it is
-            # demonic, as all(()) and any(()) do.
+            if not isinstance(m, Op):
+                raise TypeError(f"expected a computation, got {m!r}")
+            index, command = m.index, m.command
+            pt = transformers[index] if index < count else None
+            if pt is None or pt.effect is not command.effect:
+                pt = _transformer_for(row, m)  # raises the RowError that fits
+            branches = pt.branches(command, state)
+            if branches:
+                response, state = branches[0]
+                if len(branches) > 1:
+                    stack.append((pt.demonic, m.resume, branches, 1))
+                m = m.resume(response)
+                continue
+            # No branch: the op holds exactly when it is demonic, as all(())
+            # and any(()) do.
             verdict = pt.demonic
         # Hand the verdict up to the nearest op it does not settle, and
         # resume that op at its next branch.
         while stack:
-            demonic, resume, pending = stack[-1]
+            demonic, resume, branches, next_index = stack.pop()
             if verdict == demonic:
-                branch = next(pending, None)
-                if branch is not None:
-                    response, state = branch
-                    m = resume(response)
-                    break
-            stack.pop()
+                response, state = branches[next_index]
+                if next_index + 1 < len(branches):
+                    stack.append((demonic, resume, branches, next_index + 1))
+                m = resume(response)
+                break
         else:
             return verdict
 
@@ -361,7 +370,8 @@ def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> 
                 resume, konts = konts
                 m = resume(m.value)
                 continue
-            assert isinstance(m, Op)
+            if not isinstance(m, Op):
+                raise TypeError(f"expected a computation, got {m!r}")
             command = m.command
             if command.kind is _KIND_CHOICE:
                 work.append((_PURE_FALSE, state, fuel, (m.resume, konts)))

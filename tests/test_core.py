@@ -30,7 +30,6 @@ from effparse.core import (
     Pure,
     RowError,
     Str,
-    admissible_responses,
     bind,
     call,
     choice,
@@ -79,13 +78,6 @@ def test_only_calls_carry_payloads() -> None:
     with pytest.raises(ValueError):
         Command(EffectId.NONDET, CommandKind.CHOICE, Str("x"))
     assert Command(EffectId.REC, CommandKind.CALL, Str("x")).payload == Str("x")
-
-
-def test_admissible_responses() -> None:
-    assert admissible_responses(Command(EffectId.NONDET, CommandKind.CHOICE)) == (TRUE, FALSE)
-    assert admissible_responses(Command(EffectId.NONDET, CommandKind.FAIL)) == ()
-    assert admissible_responses(Command(EffectId.PARSER_STRICT, CommandKind.SYMBOL)) is None
-    assert admissible_responses(Command(EffectId.REC, CommandKind.CALL, UNIT)) is None
 
 
 # ---------------------------------------------------------------------------

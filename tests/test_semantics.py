@@ -17,6 +17,8 @@ from effparse.core import (
     EffectRow,
     FALSE,
     TRUE,
+    Op,
+    Pure,
     RowError,
     Str,
     Value,
@@ -35,7 +37,6 @@ from effparse.handlers import RecursiveFn, run_parser, run_with_fuel
 from effparse.regex import dmatch_run, parse_regex
 from effparse.semantics import (
     PARSER_SEMANTICS,
-    EnumerationOverflowError,
     Invariant,
     MissingInvariantError,
     SemanticsRow,
@@ -64,16 +65,17 @@ REC_ROW = EffectRow((EffectId.REC,))
 MAYBE_ROW = EffectRow((EffectId.NONDET, EffectId.PARSER_MAYBE))
 
 
-def toy_invariant(max_outputs: int | None = None) -> Invariant:
+def toy_invariant() -> Invariant:
     """Call inputs are names; outputs come from a fixed finite table."""
     table: dict[Value, tuple[Value, ...]] = {
         Str("f"): (Ch("a"), Ch("b")),
         Str("g"): (),
+        Str("h"): (Ch("a"),),
+        Str("k"): (Ch("b"), UNIT, Ch("a")),
     }
     return Invariant(
         relation=lambda call_input, output: output in table.get(call_input, ()),
         enumerator=lambda call_input: table.get(call_input, ()),
-        max_outputs=max_outputs,
     )
 
 
@@ -189,7 +191,7 @@ def random_reader(rng: random.Random, size: int, row: EffectRow) -> Computation:
     if step == "choice":
         return choice(left, right, row)
     if step == "call":
-        first = call(row, Str(rng.choice("fg")))
+        first = call(row, Str(rng.choice("fghk")))
     else:
         first = symbol_strict(row) if EffectId.PARSER_STRICT in row else symbol_maybe(row)
     return bind(first, lambda v: left if v == Ch("a") else right)
@@ -206,6 +208,22 @@ def _recorded(post):
     return recording, asked
 
 
+def _logged(m: Computation, resumed: list, path: tuple = ()) -> Computation:
+    """``m`` with each ``Op`` rebuilt to log its resumptions into ``resumed``.
+
+    Each entry is the path of responses from the root to the branch
+    resumed, so it names that branch whichever fold asks for it.
+    """
+    if isinstance(m, Pure):
+        return m
+
+    def resume(response: Value) -> Computation:
+        resumed.append(path + (response,))
+        return _logged(m.resume(response), resumed, path + (response,))
+
+    return Op(m.row, m.index, m.command, resume)
+
+
 STATEFUL_POSTS = (
     lambda _v, state: state == "",
     lambda v, state: isinstance(v, Ch) or state.startswith("a"),
@@ -214,8 +232,12 @@ STATEFUL_POSTS = (
 
 
 def test_wp_agrees_with_the_recursive_fold() -> None:
-    """Same verdict, and the same postcondition queries in the same order,
-    so the short-circuit matches ``all``/``any`` exactly."""
+    """Same verdict, the same postcondition queries and the same
+    resumptions, each in the same order, so the short-circuit matches
+    ``all``/``any`` exactly: no branch is built after one settled its op.
+    Calls with none, one, two and three outputs cover ops with no branch,
+    with one (followed without a frame), and with a second and a third
+    branch still to try."""
     rng = random.Random(37)
     rec = pt_rec(toy_invariant())
     cases = [
@@ -225,6 +247,11 @@ def test_wp_agrees_with_the_recursive_fold() -> None:
         (SemanticsRow((pt_any(), pt_parse_strict())), PARSER_ROW, "ba"),
         (SemanticsRow((pt_all(), pt_parser_maybe())), MAYBE_ROW, "a"),
         (SemanticsRow((rec, pt_any())), EffectRow((EffectId.REC, EffectId.NONDET)), None),
+        (
+            SemanticsRow((rec, pt_all(), pt_parse_strict())),
+            EffectRow((EffectId.REC, EffectId.NONDET, EffectId.PARSER_STRICT)),
+            "ab",
+        ),
     ]
     for sem, row, state0 in cases:
         posts = STATEFUL_POSTS if state0 is not None else STATEFUL_POSTS[2:]
@@ -233,9 +260,20 @@ def test_wp_agrees_with_the_recursive_fold() -> None:
             for post in posts:
                 new_post, new_asked = _recorded(post)
                 old_post, old_asked = _recorded(post)
-                verdict = wp_stateful(sem, m, new_post, state0)
-                assert verdict == reference.wp(sem, m, old_post, state0)
+                new_resumed: list = []
+                old_resumed: list = []
+                verdict = wp_stateful(sem, _logged(m, new_resumed), new_post, state0)
+                assert verdict == reference.wp(sem, _logged(m, old_resumed), old_post, state0)
                 assert new_asked == old_asked
+                assert new_resumed == old_resumed
+
+
+def test_a_resumption_that_returns_no_computation_is_a_type_error() -> None:
+    m = choice(42, pure(UNIT))  # type: ignore[arg-type]
+    with pytest.raises(TypeError, match="42"):
+        wp(ALL, m, lambda _: True)
+    with pytest.raises(TypeError, match="42"):
+        results_demonic(m)
 
 
 def test_wp_transform_is_the_quantified_branches() -> None:
@@ -283,14 +321,6 @@ def test_results_demonic_requires_context_for_effects() -> None:
         results_demonic(call(REC_ROW, Str("f")))
     with pytest.raises(ValueError):
         results_demonic(symbol_strict(PARSER_ROW))
-
-
-def test_invariant_enumeration_overflow_raises() -> None:
-    inv = toy_invariant(max_outputs=1)
-    with pytest.raises(EnumerationOverflowError):
-        results_demonic(call(REC_ROW, Str("f")), inv)
-    # A bound that is not exceeded never truncates.
-    assert len(results_demonic(call(REC_ROW, Str("f")), toy_invariant(max_outputs=2))) == 2
 
 
 def test_result_set_keeps_first_occurrences() -> None:
