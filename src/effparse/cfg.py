@@ -191,10 +191,6 @@ class Grammar:
                 if isinstance(symbol, Nonterminal) and symbol not in defined:
                     raise UndefinedNonterminalError(f"nonterminal {symbol.name!r} is used but never defined")
 
-    @property
-    def nonterminals(self) -> frozenset[Nonterminal]:
-        return frozenset(p.lhs for p in self.productions)
-
     def __getstate__(self) -> dict:
         # Copies and pickles leave out the parser index (see _index), which
         # holds closures and is rebuilt on demand.
@@ -235,7 +231,8 @@ class ChainReport:
     ``links`` holds (from, to, witness production index) triples.  A report
     holds exactly one of ``bound``, the least number strictly greater than
     every chain length, when the link graph is acyclic, and ``cycle``, a
-    witness cycle (first nonterminal repeated at the end), when it is not.
+    witness cycle (first nonterminal repeated at the end), when it is not;
+    so a report is cyclic exactly when ``cycle`` is not ``None``.
     """
 
     links: tuple[tuple[Nonterminal, Nonterminal, int], ...]
@@ -245,10 +242,6 @@ class ChainReport:
     def __post_init__(self) -> None:
         if (self.bound is None) == (self.cycle is None):
             raise ValueError("a chain report holds exactly one of a bound and a cycle")
-
-    @property
-    def cyclic(self) -> bool:
-        return self.cycle is not None
 
 
 def format_sem_value(value: SemValue, as_json: bool = False) -> str:

@@ -34,7 +34,6 @@ __all__ = [
     "EffectId",
     "EffectRow",
     "FALSE",
-    "ListV",
     "NONDET_ROW",
     "PARSER_ROW",
     "Op",
@@ -112,11 +111,6 @@ class Str(Value):
 class PairV(Value):
     first: Value
     second: Value
-
-
-@dataclass(frozen=True)
-class ListV(Value):
-    items: tuple[Value, ...]
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ __all__ = [
     "Done",
     "EXHAUSTED",
     "Exhausted",
-    "FuelOutcome",
     "RecursiveFn",
     "TerminationInvariantError",
     "h_parser",
@@ -86,21 +85,15 @@ class RecursiveFn:
             raise RowError(f"recursive functions need Rec at the head of the row, got {self.row.effects}")
 
 
-class FuelOutcome:
-    """Result of a fuel-bounded run: either all results, or ran dry."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
-class Done(FuelOutcome):
+class Done:
     """Every path was fully explored; ``results`` pairs values with final states."""
 
     results: tuple[tuple[Value, str | None], ...]
 
 
 @dataclass(frozen=True)
-class Exhausted(FuelOutcome):
+class Exhausted:
     """Some path hit a recursive call with no fuel left; results unknown."""
 
 
@@ -288,7 +281,7 @@ def run_with_fuel(
     call_input: Value,
     fuel: int,
     state0: str | None = None,
-) -> FuelOutcome:
+) -> Done | Exhausted:
     """Run ``f`` on ``call_input``, expanding recursion on a fuel budget.
 
     The initial invocation is free; each recursive call along a path costs

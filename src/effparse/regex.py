@@ -91,7 +91,6 @@ __all__ = [
     "LeftT",
     "ListT",
     "MATCH_ROW",
-    "MatchInstance",
     "PairT",
     "ParseTree",
     "Regex",
@@ -124,7 +123,6 @@ __all__ = [
     "nullable",
     "parse_regex",
     "regex_size",
-    "tree_shape_ok",
     "tree_yield",
 ]
 
@@ -353,29 +351,6 @@ EMPTY = Empty()
 EPSILON = Epsilon()
 
 
-@dataclass(frozen=True)
-class MatchInstance:
-    """A regex, an input string, and a tree that claims to witness a match."""
-
-    regex: Regex
-    input: str
-    tree: ParseTree
-
-    def holds(self) -> bool:
-        return is_match(self.regex, self.input, self.tree)
-
-
-def tree_shape_ok(r: Regex, t: ParseTree) -> bool:
-    """Does ``t`` have the shape of a witness for ``r``?
-
-    Shape only: a character leaf of the *wrong* character still fits a
-    one-character regex — whether the characters line up is the matching
-    relation's business, not the shape's.  A desk-scale oracle, like
-    :func:`is_match`: it recurses once per level of ``r``.
-    """
-    return _fits(r, t, False)
-
-
 def tree_yield(t: ParseTree) -> str:
     """The string a parse tree spells out, leaf to leaf (recursively)."""
     if isinstance(t, UnitT):
@@ -406,23 +381,23 @@ def is_match(r: Regex, s: str, t: ParseTree) -> bool:
     return _fits(r, t) and tree_yield(t) == s
 
 
-def _fits(r: Regex, t: ParseTree, chars: bool = True) -> bool:
-    """Does ``t`` witness some string for ``r``?  Like :func:`tree_shape_ok`,
-    but with ``chars`` a character leaf must hold the regex's character."""
+def _fits(r: Regex, t: ParseTree) -> bool:
+    """Does ``t`` witness some string for ``r``?  It must fit ``r`` in shape,
+    and each character leaf must hold the regex's character."""
     if isinstance(r, Empty):
         return False
     if isinstance(r, Epsilon):
         return isinstance(t, UnitT)
     if isinstance(r, Singleton):
-        return isinstance(t, CharT) and (not chars or t.char == r.char)
+        return isinstance(t, CharT) and t.char == r.char
     if isinstance(r, Alt):
         if isinstance(t, (LeftT, RightT)):
-            return _fits(r.left if isinstance(t, LeftT) else r.right, t.item, chars)
+            return _fits(r.left if isinstance(t, LeftT) else r.right, t.item)
         return False
     if isinstance(r, Cat):
-        return isinstance(t, PairT) and _fits(r.left, t.first, chars) and _fits(r.right, t.second, chars)
+        return isinstance(t, PairT) and _fits(r.left, t.first) and _fits(r.right, t.second)
     assert isinstance(r, Star)
-    return isinstance(t, ListT) and all(_fits(r.body, item, chars) for item in t.items)
+    return isinstance(t, ListT) and all(_fits(r.body, item) for item in t.items)
 
 
 def _length_bounds(r: Regex, *kids: tuple[int, int | None]) -> tuple[int, int | None]:

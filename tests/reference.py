@@ -20,6 +20,7 @@ one, kept here so the differential tests can hold the two side by side:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from effparse.cfg import (
@@ -37,7 +38,6 @@ from effparse.core import (
     UNIT,
     Ch,
     Computation,
-    ListV,
     Op,
     Pure,
     Value,
@@ -165,6 +165,13 @@ def dmatch_unsimplified(r: Regex, s: str) -> tuple[ParseTree, ...]:
 def exact(c: str) -> Computation:
     """Consume exactly ``c``, built afresh on every call."""
     return bind(symbol_strict(CFG_ROW), lambda response: pure(UNIT) if response == Ch(c) else fail(CFG_ROW))
+
+
+@dataclass(frozen=True)
+class ListV(Value):
+    """The calls' responses along a right-hand side, in order."""
+
+    items: tuple[Value, ...]
 
 
 def build_parser(g: Grammar, rhs: tuple[GSymbol, ...], acc: tuple[Value, ...] = ()) -> Computation:

@@ -210,7 +210,7 @@ def test_follow_calls_are_plain_calls_filtered_by_their_terminal(
     bound = chain_bound(g).bound
     assert bound is not None
     fn = from_prods_fn(g)
-    for a in sorted(g.nonterminals, key=lambda nt: nt.name):
+    for a in sorted({p.lhs for p in g.productions}, key=lambda nt: nt.name):
         for t in _follows(g):
             for text in texts:
                 for fuel in range(parse_fuel(len(text), bound) + 1):
@@ -327,5 +327,5 @@ def test_chain_bound_agrees_with_the_recursive_search() -> None:
         g = Grammar(tuple(productions))
         report = chain_bound(g)
         assert report == reference.chain_bound(g)
-        cyclic.add(report.cyclic)
+        cyclic.add(report.cycle is not None)
     assert cyclic == {True, False}

@@ -1,0 +1,17 @@
+"""Each module's ``__all__`` names what the module defines, once each."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+import effparse
+
+
+@pytest.mark.parametrize("module_name", effparse.__all__)
+def test_every_export_resolves_once(module_name: str) -> None:
+    module = importlib.import_module(f"effparse.{module_name}")
+    exports = module.__all__
+    assert [name for name in exports if not hasattr(module, name)] == []
+    assert len(set(exports)) == len(exports)

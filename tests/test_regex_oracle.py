@@ -14,7 +14,6 @@ from effparse.regex import (
     CharT,
     LeftT,
     ListT,
-    MatchInstance,
     PairT,
     RightT,
     Singleton,
@@ -24,7 +23,6 @@ from effparse.regex import (
     has_no_star,
     is_match,
     regex_size,
-    tree_shape_ok,
     tree_yield,
 )
 
@@ -35,25 +33,8 @@ A, B = Singleton("a"), Singleton("b")
 
 
 # ---------------------------------------------------------------------------
-# Shapes and yields
+# Yields
 # ---------------------------------------------------------------------------
-
-
-def test_tree_shape_examples() -> None:
-    assert tree_shape_ok(EPSILON, UNIT_TREE)
-    assert tree_shape_ok(A, CharT("a"))
-    assert tree_shape_ok(Alt(A, B), LeftT(CharT("a")))
-    assert tree_shape_ok(Cat(A, B), PairT(CharT("a"), CharT("b")))
-    assert tree_shape_ok(Star(A), ListT((CharT("a"), CharT("a"))))
-    assert not tree_shape_ok(EMPTY, UNIT_TREE)
-    assert not tree_shape_ok(A, UNIT_TREE)
-    assert not tree_shape_ok(Alt(A, B), CharT("a"))
-
-
-def test_tree_shape_ignores_which_character() -> None:
-    # Shape is structure only; the wrong character still fits.
-    assert tree_shape_ok(A, CharT("b"))
-    assert not is_match(A, "b", CharT("b"))
 
 
 def test_tree_yield_examples() -> None:
@@ -82,11 +63,14 @@ def test_is_match_base_cases() -> None:
     assert is_match(A, "a", CharT("a"))
     assert not is_match(A, "b", CharT("a"))
     assert not is_match(A, "a", CharT("b"))
+    assert not is_match(A, "b", CharT("b"))
+    assert not is_match(A, "", UNIT_TREE)
 
 
 def test_is_match_structural_cases() -> None:
     assert is_match(Alt(A, B), "b", RightT(CharT("b")))
     assert not is_match(Alt(A, B), "b", LeftT(CharT("b")))
+    assert not is_match(Alt(A, B), "a", CharT("a"))
     assert is_match(Cat(A, B), "ab", PairT(CharT("a"), CharT("b")))
     assert not is_match(Cat(A, B), "ba", PairT(CharT("a"), CharT("b")))
     assert is_match(Star(A), "", ListT(()))
@@ -100,17 +84,11 @@ def test_is_match_allows_empty_iterations() -> None:
     assert is_match(Star(EPSILON), "", ListT((UNIT_TREE, UNIT_TREE)))
 
 
-def test_match_instance_wraps_the_relation() -> None:
-    assert MatchInstance(A, "a", CharT("a")).holds()
-    assert not MatchInstance(A, "b", CharT("a")).holds()
-
-
 def test_matches_imply_shape_and_yield() -> None:
     for r in regexes_up_to(4):
         for s in strings_up_to(3):
             for t in enumerate_matches(r, s):
                 assert is_match(r, s, t)
-                assert tree_shape_ok(r, t)
                 assert tree_yield(t) == s
 
 
