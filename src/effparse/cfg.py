@@ -294,12 +294,6 @@ def filter_lhs(g: Grammar, a: Nonterminal) -> tuple[Production, ...]:
     return _index(g).by_lhs.get(a, ())
 
 
-def exact(c: str, row: EffectRow = CFG_ROW) -> Computation:
-    """Consume exactly the character ``c``; any other next character fails."""
-    expected, done, dead = Ch(c), pure(UNIT), fail(row)
-    return bind(symbol_strict(row), lambda response: done if response == expected else dead)
-
-
 #: The end-of-input check is an optional read, which answers ``UNIT`` only
 #: at the end.  Strict reads cannot tell the end apart from a failed read,
 #: and only this check uses the read, so ``CFG_ROW`` stays as it is.
@@ -308,6 +302,12 @@ _DEAD = fail(CFG_ROW)
 #: One checked ``Op`` per grammar step: a read, or the end check, and its resumption.
 _read = partial(Op, CFG_ROW, CFG_ROW.index_of(EffectId.PARSER_STRICT), _READ_STRICT)
 _read_end = partial(Op, _END_ROW, _END_ROW.index_of(EffectId.PARSER_MAYBE), _READ_MAYBE)
+
+
+def exact(c: str) -> Computation:
+    """Consume exactly the character ``c``; any other next character fails."""
+    expected, done = Ch(c), pure(UNIT)
+    return bind(symbol_strict(CFG_ROW), lambda response: done if response == expected else _DEAD)
 
 
 def build_parser(

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any, Callable, Sequence
 
 from .cfg import (
     CyclicGrammarError,
     Grammar,
     GrammarError,
     Nonterminal,
+    UndefinedNonterminalError,
     chain_bound,
+    filter_lhs,
     format_sem_value,
     grammar_from_text,
     parse_full,
@@ -41,14 +44,16 @@ from .regex import (
 __all__ = ["cmd_cfg_check", "cmd_cfg_parse", "cmd_derive", "cmd_match", "main"]
 
 
-def _emit_results(lines: list[str], max_results: int | None) -> int:
-    total = len(lines)
-    shown = lines
+def _emit_results(results: Sequence[Any], render: Callable[[Any], str], max_results: int | None) -> int:
+    """Print ``results`` one line each by ``render``, or only the first
+    ``max_results`` with the total on stderr; only printed ones are rendered."""
+    total = len(results)
+    shown = results
     if max_results is not None and total > max_results:
-        shown = lines[:max_results]
+        shown = results[:max_results]
         print(f"{total} results, showing {len(shown)}", file=sys.stderr)
-    for line in shown:
-        print(line)
+    for result in shown:
+        print(render(result))
     return 0 if total else 1
 
 
@@ -72,9 +77,9 @@ def cmd_match(pattern: str, text: str, fuel: int | None, engine: str, as_json: b
         trees = [value for value, _state in outcome.results]
     else:
         trees = dmatch_run(r, text)
-    # Deduplicated as printed lines, which are flat strings, rather than as
-    # trees, whose hash recurses once per level; the printer is injective.
-    return _emit_results(list(dict.fromkeys(format_tree(t, as_json) for t in trees)), max_results)
+    # No witness comes twice: the derivative engine gives at most one, and
+    # a structural witness fixes its own choice path.
+    return _emit_results(trees, lambda t: format_tree(t, as_json), max_results)
 
 
 def cmd_derive(pattern: str, text: str) -> int:
@@ -132,13 +137,17 @@ def cmd_cfg_parse(path: str, start: str, text: str, fuel: int | None, as_json: b
     takes time linear in the input rather than quadratic.  A cyclic grammar
     without ``--fuel`` prints its cycle and returns 1.  Raises
     :class:`~effparse.cfg.GrammarError` when the grammar file cannot be
-    loaded or ``start`` is empty, and
+    loaded or ``start`` is empty or has no production, and
     :class:`~effparse.handlers.TerminationInvariantError` when the proven
     budget runs out.
     """
     grammar = _load_grammar(path)
+    a = Nonterminal(start)
+    if not filter_lhs(grammar, a):
+        # It would parse nothing, as an undefined right-hand-side name would.
+        raise UndefinedNonterminalError(f"start nonterminal {start!r} is never defined")
     try:
-        parses = parse_full(grammar, Nonterminal(start), text, fuel)
+        parses = parse_full(grammar, a, text, fuel)
     except CyclicGrammarError as error:
         print(f"cyclic: {_cycle_text(error.cycle)}", file=sys.stderr)
         return 1
@@ -146,7 +155,7 @@ def cmd_cfg_parse(path: str, start: str, text: str, fuel: int | None, as_json: b
         print("error: fuel exhausted", file=sys.stderr)
         return 3
     # Each derivation fixes its own choice path, so none comes twice.
-    return _emit_results([format_sem_value(node, as_json) for node in parses], max_results)
+    return _emit_results(parses, lambda node: format_sem_value(node, as_json), max_results)
 
 
 def _natural(text: str) -> int:
@@ -195,9 +204,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    The one place that maps errors to exit codes: a malformed pattern, or a
-    grammar that cannot be loaded, exits 2, and a proven fuel budget that
-    runs out exits 3, each with ``error: …`` on stderr.
+    The one place that maps errors to exit codes: a malformed pattern, a
+    grammar that cannot be loaded, or a start nonterminal it does not
+    define, exits 2, and a proven fuel budget that runs out exits 3, each
+    with ``error: …`` on stderr.
     """
     try:
         args = _build_parser().parse_args(argv)

@@ -46,7 +46,7 @@ from .core import (
     _REC,
     fmap,
 )
-from .semantics import SemanticsRow, _drive, _next, wp_stateful
+from .semantics import SemanticsRow, _drive, _next, wp
 
 __all__ = [
     "Done",
@@ -236,13 +236,7 @@ def _unfold(f: RecursiveFn, m: Computation, fuel: int, dry: Computation) -> Comp
     return _walker(EffectRow(f.row.effects[1:]), 0, answer)(m, None, fuel)
 
 
-def terminates_in(
-    tail_row: SemanticsRow,
-    f: RecursiveFn,
-    m: Computation,
-    fuel: int,
-    state0: str | None = None,
-) -> bool:
+def terminates_in(tail_row: SemanticsRow, f: RecursiveFn, m: Computation, fuel: int) -> bool:
     """Do all recursive calls in ``m`` bottom out within ``fuel`` expansions?
 
     Finished computations terminate at any fuel.  A recursive call at fuel
@@ -250,12 +244,11 @@ def terminates_in(
     body (spending one unit) and asking again.  Every other effect defers
     to its transformer in ``tail_row`` — the row for the effects after the
     recursion — with the continuation judged at the *same* fuel, so under
-    an all-results transformer every branch must terminate.
+    an all-results transformer every branch must terminate.  The question
+    is the plain :func:`~effparse.semantics.wp` of "no path ran dry" over
+    the unfolding.
     """
-    unfolded = _unfold(f, m, fuel, Pure(_RAN_DRY))
-    return wp_stateful(
-        tail_row, unfolded, lambda value, _state: value is not _RAN_DRY, state0  # type: ignore[arg-type]
-    )
+    return wp(tail_row, _unfold(f, m, fuel, Pure(_RAN_DRY)), lambda value: value is not _RAN_DRY)
 
 
 def terminates_fmap_law(
@@ -264,12 +257,11 @@ def terminates_fmap_law(
     g: Callable[[Value], Value],
     m: Computation,
     fuel: int,
-    state0: str | None = None,
 ) -> bool:
     """Termination is stable under mapping a function over the result."""
-    if not terminates_in(tail_row, f, m, fuel, state0):
+    if not terminates_in(tail_row, f, m, fuel):
         return True
-    return terminates_in(tail_row, f, fmap(g, m), fuel, state0)
+    return terminates_in(tail_row, f, fmap(g, m), fuel)
 
 
 class _OutOfFuel(Exception):

@@ -15,11 +15,11 @@ Matching proper comes in two flavours:
   which is not structurally smaller).
 * :func:`dmatch` — one optional symbol read, then a recursive call on the
   Brzozowski derivative.  :func:`derivative_step` builds it simplified,
-  with a rectifier back to the witnesses of the paper's
-  :func:`derivative`, and :func:`integral_tree` rebuilds the original
-  regex's parse tree from those.  The simplified derivatives of a regex
-  are finitely many, so a step costs the same at every character and the
-  witness is that of the unsimplified derivatives.  Each node's
+  with a rectifier to the original regex's parse trees: those that
+  :func:`integral_tree` rebuilds from the witnesses of the paper's
+  :func:`derivative` they stand for.  The simplified derivatives of a
+  regex are finitely many, so a step costs the same at every character
+  and the witness is that of the unsimplified derivatives.  Each node's
   computation, and its step for each character, is built once and shared
   by every run.  :func:`dmatch_run` executes it on the interpreter with
   the input as state and fuel exactly the input length, which always
@@ -53,7 +53,6 @@ from .core import (
     Computation,
     EffectId,
     EffectRow,
-    NONDET_ROW,
     PairV,
     SplitV,
     Str,
@@ -98,7 +97,6 @@ __all__ = [
     "RightT",
     "Singleton",
     "Star",
-    "TerminationInvariantError",
     "TreeShapeError",
     "UNIT_TREE",
     "UnitT",
@@ -496,30 +494,32 @@ MATCH_ROW = EffectRow((EffectId.REC, EffectId.NONDET))
 DMATCH_ROW = EffectRow((EffectId.REC, EffectId.PARSER_MAYBE, EffectId.NONDET))
 
 
-def all_splits(xs: str, row: EffectRow = NONDET_ROW) -> Computation:
+def all_splits(xs: str) -> Computation:
     """Nondeterministically split ``xs`` into a prefix and a suffix.
 
     Results are ``SplitV`` values, shortest prefix first; a string of
     length n splits n+1 ways.  Each split is made when its branch is
     reached, so a run holds one at a time rather than all n+1 at once.
+    The choices are over :data:`MATCH_ROW`, the structural matcher's row.
     """
 
     def splits_from(i: int) -> Computation:
         if i == len(xs):
             return pure(SplitV(xs, ""))
-        return _either(row, lambda: pure(SplitV(xs[:i], xs[i:])), lambda: splits_from(i + 1))
+        return _either(lambda: pure(SplitV(xs[:i], xs[i:])), lambda: splits_from(i + 1))
 
     return splits_from(0)
 
 
-def _either(row: EffectRow, left: Callable[[], Computation], right: Callable[[], Computation]) -> Computation:
-    """A choice whose branches are built only when they are resumed.
+def _either(left: Callable[[], Computation], right: Callable[[], Computation]) -> Computation:
+    """A choice over :data:`MATCH_ROW` whose branches are built only when
+    they are resumed.
 
     So a chain of choices unfolds one link at a time: the structural
     matcher holds one split of the input at a time, and meets the
     alternatives of a long chain one by one.
     """
-    return bind(choice(pure(TRUE), pure(FALSE), row), lambda b: left() if b == TRUE else right())
+    return bind(choice(pure(TRUE), pure(FALSE), MATCH_ROW), lambda b: left() if b == TRUE else right())
 
 
 def match_input(r: Regex, xs: str) -> PairV:
@@ -565,13 +565,12 @@ def match_structural(r: Regex, xs: str) -> Computation:
         return pure(CharT(r.char)) if xs == r.char else fail(row)
     if isinstance(r, Alt):
         return _either(
-            row,
             lambda: fmap(lambda t: LeftT(_tree_of(t)), match_structural(r.left, xs)),
             lambda: fmap(lambda t: RightT(_tree_of(t)), match_structural(r.right, xs)),
         )
     if isinstance(r, Cat):
         return bind(
-            all_splits(xs, row),
+            all_splits(xs),
             lambda sv: bind(
                 match_structural(r.left, sv.prefix),
                 lambda y: bind(
@@ -642,10 +641,10 @@ def integral_tree(r: Regex, c: str, t: ParseTree) -> ParseTree:
     witnesses the match of ``r`` on the string with ``c`` put back in
     front.  A tree of the wrong shape raises :class:`TreeShapeError`.
     """
-    return _rectify(_derive(r, c, False)[1], t, True)
+    return _rectify(_derive(r, c, False)[1], t)
 
 
-def derivative_step(r: Regex, c: str) -> tuple[Regex, Callable[[ParseTree], ParseTree]]:
+def derivative_step(r: Regex, c: str) -> tuple[Regex, Callable[[Value], ParseTree]]:
     """The derivative of ``r`` by ``c``, simplified, and its rectifier.
 
     The regex matches what ``derivative(r, c)`` matches, but is built by
@@ -654,11 +653,14 @@ def derivative_step(r: Regex, c: str) -> tuple[Regex, Callable[[ParseTree], Pars
     concatenation absorbs ``\\0`` and takes ``\\e`` as unit on either
     side.  These are the ACI rules of Owens, Reppy & Turon (JFP 2009), so by
     Brzozowski's theorem repeated steps reach finitely many regexes.  The
-    rectifier maps each witness of the simplified regex to the witness of
-    ``derivative(r, c)`` it stands for (Sulzmann & Lu, FLOPS 2014).
+    rectifier maps each witness of the simplified regex on ``xs`` to the
+    witness of ``r`` on ``c + xs``: the integral of the witness of
+    ``derivative(r, c)`` it stands for (Sulzmann & Lu, FLOPS 2014), made
+    in one pass.  A value that is not a tree of the right shape raises
+    :class:`TreeShapeError`.
     """
     d, fix = _derive(r, c, True)
-    return d, lambda t: _rectify(fix, t, False)
+    return d, lambda t: _rectify(fix, _tree_of(t))
 
 
 def _derive(r: Regex, c: str, simplify: bool) -> _Entry:
@@ -681,12 +683,12 @@ def _derivative_of(r: Regex, c: str, simplify: bool, kids: tuple[_Entry, ...]) -
     """The derivative of ``r`` by ``c`` and its rectifier, from the entries
     of the children :func:`_needed` names."""
     if isinstance(r, Star):
-        return _cat(kids[0], r, _STAR, simplify)
+        return _cat(kids[0], r, _cons, simplify)
     if isinstance(r, Alt):
         sides = [(kids[0], _ALT, LeftT), (kids[1], _ALT, RightT)]
     elif isinstance(r, Cat):
         witness = r.left._nullable
-        through_left = _cat(kids[0], r.right, _CAT if witness is None else _NCAT, simplify)
+        through_left = _cat(kids[0], r.right, PairT, simplify)
         if witness is None:
             return through_left
         sides = [(through_left, None, None), (kids[1], _NCAT_RIGHT, witness)]
@@ -698,11 +700,11 @@ def _derivative_of(r: Regex, c: str, simplify: bool, kids: tuple[_Entry, ...]) -
 # A rectifier is a tuple that _rectify runs.  (_PAIR, shape, None, fix)
 # goes on into the first half of a pair, (_UNIT_FIRST, shape, None, fix)
 # into the unit witness of a ``\e`` dropped on the left, and (_STAY, shape,
-# kept, fix) on the same witness; ``shape`` rebuilds the level from the
-# result and what was kept, by one function for the parent's derivative
-# and one for the parent, its integral.  (_PICK, fixes) goes on untagged
+# kept, fix) on the same witness; ``shape`` rebuilds the parent's witness
+# from the result and what was kept.  (_PICK, fixes) goes on untagged
 # with the alternative the witness takes, (_REBUILD, tags, fix) tagged;
-# (_CHAR, c) ends at the unit witness of ``c``, and (_NONE,) at ``\0``.
+# (_CHAR, c) ends at the unit witness of ``c`` and gives the character
+# back, and (_NONE,) ends at ``\0``.
 _PAIR, _UNIT_FIRST, _STAY, _PICK, _REBUILD, _CHAR, _NONE = range(7)
 
 
@@ -712,26 +714,25 @@ def _cons(head: ParseTree, rest: ParseTree) -> ParseTree:
     return ListT((head,) + rest.items)
 
 
-_ALT = (lambda t, tag: tag(t),) * 2
-_CAT = (PairT, PairT)
-_NCAT = (lambda t, rest: LeftT(PairT(t, rest)), PairT)
-_NCAT_RIGHT = (lambda t, _witness: RightT(t), lambda t, witness: PairT(witness, t))
-_STAR = (PairT, _cons)
+#: A ``shape``: the parent's witness from the child's and what was kept.
+_Rebuild = Callable[[ParseTree, Any], ParseTree]
+_ALT: _Rebuild = lambda t, tag: tag(t)
+_NCAT_RIGHT: _Rebuild = lambda t, witness: PairT(witness, t)
 
 
-def _rectify(fix: tuple, t: ParseTree, integrate: bool) -> ParseTree:
-    """Map ``t``, a witness of the derivative in an entry of ``r``'s table,
-    by the entry's rectifier ``fix`` to the witness of the paper's
-    derivative of ``r`` it stands for, or with ``integrate`` on to its
-    integral for ``r``.  A misshapen tree raises :class:`TreeShapeError`."""
-    passed: list[tuple[Callable[[ParseTree, Any], ParseTree], Any]] = []
+def _rectify(fix: tuple, t: ParseTree) -> ParseTree:
+    """Map ``t``, a witness on ``xs`` of the derivative by ``c`` in an entry
+    of ``r``'s table, by the entry's rectifier ``fix`` to the witness of
+    ``r`` on ``c + xs`` it stands for.  A misshapen tree raises
+    :class:`TreeShapeError`."""
+    passed: list[tuple[_Rebuild, Any]] = []
     while True:
         how = fix[0]
         if how == _PAIR and isinstance(t, PairT):
-            passed.append((fix[1][integrate], t.second))
+            passed.append((fix[1], t.second))
             t, fix = t.first, fix[3]
         elif how == _STAY:
-            passed.append((fix[1][integrate], fix[2]))
+            passed.append((fix[1], fix[2]))
             fix = fix[3]
         elif how == _PICK:
             fixes, i = fix[1], 0
@@ -743,14 +744,14 @@ def _rectify(fix: tuple, t: ParseTree, integrate: bool) -> ParseTree:
                 t = t.item
             fix = fixes[i]
         elif how == _UNIT_FIRST:
-            passed.append((fix[1][integrate], t))
+            passed.append((fix[1], t))
             t, fix = UNIT_TREE, fix[3]
         elif how == _REBUILD:
             for tag in fix[1]:
                 t = tag(t)
             fix = fix[2]
         elif how == _CHAR and isinstance(t, UnitT):
-            t = CharT(fix[1]) if integrate else t
+            t = CharT(fix[1])
             break
         else:
             raise TreeShapeError(f"{t!r} witnesses no derivative here")
@@ -759,7 +760,7 @@ def _rectify(fix: tuple, t: ParseTree, integrate: bool) -> ParseTree:
     return t
 
 
-def _alternatives(entry: _Entry, shape: tuple | None, kept: Any, simplify: bool) -> list[_Entry]:
+def _alternatives(entry: _Entry, shape: _Rebuild | None, kept: Any, simplify: bool) -> list[_Entry]:
     """What the derivative in ``entry`` brings to an alternation: with
     ``simplify`` the alternatives on its right spine, else itself; each
     with its rectifier, through a ``shape`` level unless that is ``None``."""
@@ -797,7 +798,7 @@ def _alt(parts: list[_Entry], simplify: bool) -> _Entry:
     return _right_nested(Alt, alternatives), fixes[0] if len(fixes) == 1 else (_PICK, fixes)
 
 
-def _cat(entry: _Entry, right: Regex, shape: tuple, simplify: bool) -> _Entry:
+def _cat(entry: _Entry, right: Regex, shape: _Rebuild, simplify: bool) -> _Entry:
     """``Cat(d, right)`` for the derivative ``d`` in ``entry``, with its
     rectifier through a ``shape`` level.  With ``simplify``, ``\\0``
     absorbs and ``\\e`` is a unit on either side."""
@@ -820,12 +821,11 @@ def dmatch(r: Regex) -> Computation:
     """Match by reading one character and recursing on the derivative.
 
     Reads an optional symbol: on a character ``x``, recurse on the
-    simplified derivative of :func:`derivative_step`, rectify the returned
-    witness to one of ``derivative(r, x)`` and integrate it back to one for
-    ``r``, both in one loop; at end of input, produce the empty-string
-    witness or fail.  The witness is the one the unsimplified derivatives
-    give, but the regexes recursed on stay few and small however long the
-    input.
+    simplified derivative of :func:`derivative_step` and map the returned
+    witness by its rectifier to the one for ``r``; at end of input, produce
+    the empty-string witness or fail.  The witness is the one the
+    unsimplified derivatives give, but the regexes recursed on stay few and
+    small however long the input.
 
     The computation is built once per node and kept on it, and so is its
     step for each character read, the call on the derivative with its
@@ -845,8 +845,8 @@ def dmatch(r: Regex) -> Computation:
         x = response.char
         step = steps.get(x)
         if step is None:
-            d, fix = _derive(r, x, True)
-            step = steps[x] = fmap(lambda t: _rectify(fix, _tree_of(t), True), call(DMATCH_ROW, d))
+            d, rectify = derivative_step(r, x)
+            step = steps[x] = fmap(rectify, call(DMATCH_ROW, d))
         return step
 
     m = bind(symbol_maybe(DMATCH_ROW), continue_with)

@@ -432,32 +432,20 @@ def result_set(results: Iterable[tuple[Value, str | None]]) -> tuple[tuple[Value
     return tuple(dict.fromkeys(results))
 
 
-def refines_all(
-    general: Computation,
-    specific: Computation,
-    rec_inv: Invariant | None = None,
-    state0: str | None = None,
-) -> bool:
+def refines_all(general: Computation, specific: Computation, rec_inv: Invariant | None = None) -> bool:
     """Does ``specific`` refine ``general`` under the all-results reading?
 
     Decided by result sets: every result of ``specific`` must be a result
     of ``general``.  Reflexive and transitive by construction.
     """
-    allowed = set(results_demonic(general, rec_inv, state0))
-    return all(item in allowed for item in results_demonic(specific, rec_inv, state0))
+    allowed = set(results_demonic(general, rec_inv))
+    return all(item in allowed for item in results_demonic(specific, rec_inv))
 
 
-def refines_any(
-    general: Computation,
-    specific: Computation,
-    rec_inv: Invariant | None = None,
-    state0: str | None = None,
-) -> bool:
+def refines_any(general: Computation, specific: Computation, rec_inv: Invariant | None = None) -> bool:
     """The dual of :func:`refines_all`: every result of ``general`` survives
-    in ``specific``."""
-    required = results_demonic(general, rec_inv, state0)
-    available = set(results_demonic(specific, rec_inv, state0))
-    return all(item in available for item in required)
+    in ``specific``, which is :func:`refines_all` with the two swapped."""
+    return refines_all(specific, general, rec_inv)
 
 
 #: Semantics for the two-effect parser row: all results, strict reads.

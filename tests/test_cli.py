@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from effparse import cli
 from effparse.cli import main
 
 
@@ -224,6 +225,29 @@ def test_cfg_parse_nullable_sequence_exit_codes(capsys, grammar_file) -> None:
     assert (code, out) == (3, "")
     assert err == "error: grammar parsing ran out of fuel despite an acyclic chain analysis\n"
     assert run_cli(capsys, "cfg-parse", path, "S", "bb", "--fuel", "40") == (1, "", "")
+
+
+def test_cfg_parse_max_results_renders_only_what_it_prints(capsys, grammar_file, monkeypatch) -> None:
+    # 2**6 parses of "a" * 6; only the one printed is rendered.
+    path = grammar_file("S -> 'a' S | 'a' T |\nT -> 'a' S | 'a' T |\n")
+    rendered = []
+
+    def render(node, as_json):
+        rendered.append(node)
+        return "parse"
+
+    monkeypatch.setattr(cli, "format_sem_value", render)
+    code, out, err = run_cli(capsys, "cfg-parse", path, "S", "a" * 6, "--max-results", "1")
+    assert (code, out, err) == (0, "parse\n", "64 results, showing 1\n")
+    assert len(rendered) == 1
+
+
+def test_cfg_parse_undefined_start_is_exit_two(capsys, grammar_file) -> None:
+    path = grammar_file("S -> '(' S ')' S |\n")
+    for extra in ((), ("--fuel", "3")):
+        code, out, err = run_cli(capsys, "cfg-parse", path, "s", "()", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: start nonterminal 's' is never defined\n"
 
 
 def test_cfg_parse_empty_start_is_exit_two(capsys, grammar_file) -> None:

@@ -32,7 +32,7 @@ def test_a_copy_that_prints_differently_exits_1(tmp_path: Path) -> None:
     cli = broken / "src" / "effparse" / "cli.py"
     cli.write_text(
         cli.read_text()
-        + "\n\ndef _emit_results(lines, max_results):\n    for line in lines:\n        print(line + ' ')\n    return 0 if lines else 1\n"
+        + "\n\ndef _emit_results(results, render, max_results):\n    for result in results:\n        print(render(result) + ' ')\n    return 0 if results else 1\n"
     )
     done = _sweep(ROOT, broken)
     assert done.returncode == 1, done.stdout[-2000:] + done.stderr[-2000:]

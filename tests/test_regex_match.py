@@ -230,31 +230,33 @@ def test_derivative_step_goldens() -> None:
     # The iteration's \e head is the unit of the concatenation.
     d, rectify = derivative_step(Star(A), "a")
     assert d == Star(A)
-    assert rectify(ListT(())) == PairT(UNIT_TREE, ListT(()))
+    assert rectify(ListT(())) == ListT((CharT("a"),))
     # Repeated alternatives collapse, and the rectifier points at the first.
     d, rectify = derivative_step(Alt(A, A), "a")
     assert d == EPSILON
-    assert rectify(UNIT_TREE) == LeftT(UNIT_TREE)
+    assert rectify(UNIT_TREE) == LeftT(CharT("a"))
     # \0 is dropped from alternations and absorbs concatenations.
     d, rectify = derivative_step(Cat(Star(A), B), "b")
     assert d == EPSILON
-    assert rectify(UNIT_TREE) == RightT(UNIT_TREE)
+    assert rectify(UNIT_TREE) == PairT(ListT(()), CharT("b"))
     # Nested alternations flatten into one right-nested chain.
     d, rectify = derivative_step(Alt(Alt(Cat(A, A), A), Cat(A, B)), "a")
     assert d == Alt(A, Alt(EPSILON, B))
-    assert rectify(RightT(RightT(CharT("b")))) == RightT(PairT(UNIT_TREE, CharT("b")))
+    assert rectify(RightT(RightT(CharT("b")))) == RightT(PairT(CharT("a"), CharT("b")))
 
 
-def test_derivative_step_rectifies_to_the_derivative() -> None:
+def test_derivative_step_rectifies_to_the_integral() -> None:
     for r in regexes_up_to(4):
         for x in "ab":
             d, rectify = derivative_step(r, x)
             unsimplified = derivative(r, x)
             for xs in strings_up_to(3):
                 witnesses = enumerate_matches(d, xs, 1)
-                assert bool(witnesses) == bool(enumerate_matches(unsimplified, xs))
+                integrals = {integral_tree(r, x, u) for u in enumerate_matches(unsimplified, xs, 1)}
+                assert bool(witnesses) == bool(integrals)
                 for t in witnesses:
-                    assert is_match(unsimplified, xs, rectify(t))
+                    assert is_match(r, x + xs, rectify(t))
+                    assert rectify(t) in integrals
 
 
 BENCH_PATTERNS = ("(a|b)*", "(a|b)* a (a|b)(a|b)", "a*", "(a b)* (a|\\e)")
@@ -306,6 +308,19 @@ def test_dmatch_is_deterministic() -> None:
     for r in regexes_up_to(4):
         for s in strings_up_to(3):
             assert len(dmatch_run(r, s)) <= 1
+
+
+def test_neither_engine_yields_a_witness_twice() -> None:
+    # The command line prints witnesses as the engines give them, with no
+    # deduplication: a structural witness fixes its own choice path.
+    for r in regexes_up_to(4):
+        for s in strings_up_to(4):
+            assert len(dmatch_run(r, s)) <= 1
+            for fuel in (0, 3, 8):
+                outcome = run_with_fuel(match_fn(), match_input(r, s), fuel)
+                if isinstance(outcome, Done):
+                    trees = [value for value, _state in outcome.results]
+                    assert len(set(trees)) == len(trees)
 
 
 def test_dmatch_sound_and_complete_at_moderate_scale() -> None:

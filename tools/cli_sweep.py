@@ -10,10 +10,11 @@
 palindrome grammars, a grammar whose proven budget falls short, a cyclic
 one and a malformed one, each also with an undefined and an empty start
 symbol; one grammar per syntax error message and one that uses an
-undefined nonterminal; one that is not UTF-8, and a missing file.  The
-grammar files
-are written once to a temporary directory that both sides read, so file
-names in messages agree.
+undefined nonterminal; one that is not UTF-8, and a missing file.  Listings
+that ``--max-results`` truncates come from ambiguous patterns on the
+structural engine and from a grammar with 2**n parses of ``a`` * n.  The
+grammar files are written once to a temporary directory that both sides
+read, so file names in messages agree.
 
 Each side runs every invocation through its own ``effparse.cli.main`` in
 one child process with ``PYTHONPATH=<root>/src``, which reads the list
@@ -69,6 +70,9 @@ _GRAMMARS = (
     ("malformed.g", "E -> 'ab'\n", "E", ("ab",)),
 )
 
+#: File name, contents and start symbol of a grammar with 2**n parses of "a" * n.
+_AMBIGUOUS = ("ambiguous.g", "S -> 'a' S | 'a' T |\nT -> 'a' S | 'a' T |\n", "S")
+
 #: File name and contents of grammars that fail to load, one per message.
 _BAD_GRAMMARS = (
     ("unterminated.g", "# a terminal without its closing quote\nE -> 'a' | '\n"),
@@ -92,6 +96,9 @@ def invocations(directory: Path) -> list[list[str]]:
             argvs.append(["match", pattern, text, "--format", "json-lines"])
             argvs.append(["match", pattern, text, "--max-results", "1"])
             argvs.append(["derive", pattern, text])
+    for pattern, text in (("a|a", "a"), ("(a|a)(a|a)", "aa")):
+        for shown in ("0", "1"):
+            argvs.append(["match", pattern, text, "--engine", "structural", "--fuel", "3", "--max-results", shown])
     for name, source, start, texts in _GRAMMARS:
         path = str(directory / name)
         Path(path).write_text(source, encoding="utf-8")
@@ -103,6 +110,12 @@ def invocations(directory: Path) -> list[list[str]]:
             argvs.append(["cfg-parse", path, start, text, "--max-results", "1"])
         argvs.append(["cfg-parse", path, "Z", texts[0]])
         argvs.append(["cfg-parse", path, "", texts[0]])
+    name, source, start = _AMBIGUOUS
+    path = str(directory / name)
+    Path(path).write_text(source, encoding="utf-8")
+    for n in range(7):
+        for shown in ("0", "1", "3"):
+            argvs.append(["cfg-parse", path, start, "a" * n, "--max-results", shown])
     for name, source in _BAD_GRAMMARS:
         path = str(directory / name)
         Path(path).write_text(source, encoding="utf-8")
