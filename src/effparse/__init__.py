@@ -9,7 +9,17 @@ context-free grammars with left-recursion analysis (:mod:`effparse.cfg`).
 The ``effparse`` command line fronts the engines (:mod:`effparse.cli`).
 """
 
-from . import cfg, cli, core, handlers, regex, render, semantics
+import importlib
+
+from . import cfg, core, handlers, regex, render, semantics
 
 __all__ = ["cfg", "cli", "core", "handlers", "regex", "render", "semantics"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    # ``cli`` loads on first use, so ``import effparse`` leaves argparse
+    # alone and ``python -m effparse.cli`` runs a module not yet imported.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

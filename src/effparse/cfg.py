@@ -300,8 +300,8 @@ def filter_lhs(g: Grammar, a: Nonterminal) -> tuple[Production, ...]:
 _END_ROW = EffectRow(CFG_ROW.effects + (EffectId.PARSER_MAYBE,))
 _DEAD = fail(CFG_ROW)
 #: One checked ``Op`` per grammar step: a read, or the end check, and its resumption.
-_read = partial(Op, CFG_ROW, CFG_ROW.index_of(EffectId.PARSER_STRICT), _READ_STRICT)
-_read_end = partial(Op, _END_ROW, _END_ROW.index_of(EffectId.PARSER_MAYBE), _READ_MAYBE)
+_read = partial(Op, CFG_ROW, _READ_STRICT)
+_read_end = partial(Op, _END_ROW, _READ_MAYBE)
 
 
 def exact(c: str) -> Computation:

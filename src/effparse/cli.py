@@ -204,10 +204,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    The one place that maps errors to exit codes: a malformed pattern, a
-    grammar that cannot be loaded, or a start nonterminal it does not
-    define, exits 2, and a proven fuel budget that runs out exits 3, each
-    with ``error: …`` on stderr.
+    The commands return the codes of their own outcomes, 2 from
+    ``cmd_match`` for a starred pattern on the structural engine without
+    ``--fuel`` and 3 from ``cmd_match`` and ``cmd_cfg_parse`` when
+    ``--fuel`` runs out; the errors they raise are mapped here: a malformed
+    pattern, a grammar that cannot be loaded, or a start nonterminal it
+    does not define, exits 2, and a proven fuel budget that runs out exits
+    3, each with ``error: …`` on stderr.
     """
     try:
         args = _build_parser().parse_args(argv)

@@ -9,14 +9,14 @@ pure, so one tree may be shared by many runs; ``bind`` grafts onto one in
 constant time by queueing its continuation on the resumption.
 
 Effects are identified by :class:`EffectId` and grouped into an ordered
-:class:`EffectRow`; every ``Op`` node names its effect by position in the
-row, and construction checks that the position agrees with the command.
+:class:`EffectRow`; an ``Op`` node's command names its effect, and
+construction checks that the effect is in the node's row.
 
 Interpreters build ``Pure`` and ``Op`` nodes on most steps, so these skip
 the frozen dataclass ``__init__`` (a slow ``object.__setattr__`` per field)
 and set their slots through the slot descriptors; ``==``, ``hash``,
 ``repr``, weak references, copies and pickles stay, and every ``Op``
-still runs both row checks, in its ``__init__``.
+still runs its row check, in its ``__init__``.
 """
 
 from __future__ import annotations
@@ -183,8 +183,9 @@ class Command:
 class EffectRow:
     """An ordered collection of distinct effects.
 
-    Order matters: commands name their effect by position, and semantics
-    rows align transformers with positions.
+    Order matters where a handler peels an effect off: a recursive
+    function's row has recursion at its head, and ``handle_rec``
+    discharges the effect after it.
     """
 
     effects: tuple[EffectId, ...]
@@ -198,13 +199,6 @@ class EffectRow:
 
     def __len__(self) -> int:
         return len(self.effects)
-
-    def index_of(self, effect: EffectId) -> int:
-        """Position of ``effect`` in this row; raises ``RowError`` if absent."""
-        try:
-            return self.effects.index(effect)
-        except ValueError:
-            raise RowError(f"effect {effect.value} not in row {self.effects}") from None
 
 
 NONDET_ROW = EffectRow((EffectId.NONDET,))
@@ -245,37 +239,29 @@ class Op(Computation):
     them under an interpreter and comparing results.
     """
 
-    __slots__ = ("row", "index", "command", "resume", "__weakref__")
+    __slots__ = ("row", "command", "resume", "__weakref__")
     row: EffectRow
-    index: int
     command: Command
     resume: Callable[[Value], Computation]
 
-    def __init__(self, row: EffectRow, index: int, command: Command, resume: Callable[[Value], Computation]) -> None:
-        effects = row.effects
-        if not 0 <= index < len(effects):
-            raise RowError(f"index {index} out of range for row {effects}")
-        if effects[index] is not command.effect:
-            raise RowError(
-                f"command effect {command.effect.value} does not sit at "
-                f"position {index} of row {effects}"
-            )
+    def __init__(self, row: EffectRow, command: Command, resume: Callable[[Value], Computation]) -> None:
+        if command.effect not in row.effects:
+            raise RowError(f"effect {command.effect.value} not in row {row.effects}")
         _set_row(self, row)
-        _set_index(self, index)
         _set_command(self, command)
         _set_resume(self, resume)
 
-    #: The checks run in ``__init__``; ``bench/tracing.py`` counts the nodes
+    #: The check runs in ``__init__``; ``bench/tracing.py`` counts the nodes
     #: built as the calls of ``Op.__post_init__``, so it names the same code.
     __post_init__ = __init__
 
     def __reduce__(self) -> tuple:
-        return (type(self), (self.row, self.index, self.command, self.resume))
+        return (type(self), (self.row, self.command, self.resume))
 
 
 #: The slot descriptors' setters, which the hot nodes' ``__init__`` store through.
 _set_value = Pure.__dict__["value"].__set__
-_set_row, _set_index, _set_command, _set_resume = (Op.__dict__[f].__set__ for f in ("row", "index", "command", "resume"))
+_set_row, _set_command, _set_resume = (Op.__dict__[f].__set__ for f in ("row", "command", "resume"))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +338,7 @@ def _graft(m: Op, queue: _Queue) -> Computation:
         resume = queue
     else:
         resume = _Queued(resume, queue)
-    return Op(m.row, m.index, command, resume)
+    return Op(m.row, command, resume)
 
 
 #: The payload-free commands, built (and checked) once each.
@@ -362,17 +348,13 @@ _READ_MAYBE = Command(EffectId.PARSER_MAYBE, CommandKind.SYMBOL)
 _READ_STRICT = Command(EffectId.PARSER_STRICT, CommandKind.SYMBOL)
 
 
-def _op(row: EffectRow, command: Command, resume: Callable[[Value], Computation]) -> Op:
-    return Op(row, row.index_of(command.effect), command, resume)
-
-
 def fail(row: EffectRow = NONDET_ROW) -> Op:
     """The computation with no results; its resumption is never reached."""
 
     def resume(_: Value) -> Computation:
         raise AssertionError("fail has no responses to resume with")
 
-    return _op(row, _FAIL, resume)
+    return Op(row, _FAIL, resume)
 
 
 def choice(left: Computation, right: Computation, row: EffectRow | None = None) -> Op:
@@ -390,7 +372,7 @@ def choice(left: Computation, right: Computation, row: EffectRow | None = None) 
         else:
             row = NONDET_ROW
     # Responses are TRUE or FALSE themselves but for equal Bools built elsewhere.
-    return _op(row, _CHOICE, lambda r: left if r is TRUE else right if r is FALSE else left if r == TRUE else right)
+    return Op(row, _CHOICE, lambda r: left if r is TRUE else right if r is FALSE else left if r == TRUE else right)
 
 
 def choices(branches: Sequence[Computation] | Iterable[Computation], row: EffectRow = NONDET_ROW) -> Computation:
@@ -410,14 +392,14 @@ def choices(branches: Sequence[Computation] | Iterable[Computation], row: Effect
 
 def symbol_maybe(row: EffectRow) -> Op:
     """Read the next input character if any; responds with the char or unit."""
-    return _op(row, _READ_MAYBE, Pure)
+    return Op(row, _READ_MAYBE, Pure)
 
 
 def symbol_strict(row: EffectRow) -> Op:
     """Read the next input character; end of input yields no continuation."""
-    return _op(row, _READ_STRICT, Pure)
+    return Op(row, _READ_STRICT, Pure)
 
 
 def call(row: EffectRow, payload: Value) -> Op:
     """Invoke the ambient recursive function on ``payload``."""
-    return _op(row, Command(EffectId.REC, CommandKind.CALL, payload), Pure)
+    return Op(row, Command(EffectId.REC, CommandKind.CALL, payload), Pure)

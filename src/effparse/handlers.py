@@ -143,14 +143,13 @@ def h_parser(command: Command, state: str) -> tuple[Value, str]:
     return _next(state)
 
 
-def _walker(row: EffectRow, position: int, answer: Callable) -> Callable[..., Computation]:
-    """The lazy walk that handles the effect at ``position`` of a row.
+def _walker(row: EffectRow, answers: tuple[EffectId, ...], answer: Callable) -> Callable[..., Computation]:
+    """The lazy walk that handles the effects in ``answers``.
 
-    ``answer(op, konts, state)`` answers each command up to ``position``
-    (the handled effect and, before it, recursion): it gives the triple to
-    walk on with, and the walk resumes in its loop, or a computation to
-    stop at.  Any later command is passed on over ``row``, one position
-    down.  ``konts`` is a linked list ``(resume, rest)`` of the callers'
+    ``answer(op, konts, state)`` answers each command of those effects: it
+    gives the triple to walk on with, and the walk resumes in its loop, or
+    a computation to stop at.  Any other command is passed on over ``row``.
+    ``konts`` is a linked list ``(resume, rest)`` of the callers'
     continuations, so deep call nesting never nests ``bind``.  This is the
     ``handle_relay`` loop of Kiselyov and Ishii (*Freer Monads, More
     Extensible Effects*, Haskell 2015).
@@ -163,14 +162,14 @@ def _walker(row: EffectRow, position: int, answer: Callable) -> Callable[..., Co
                     return m
                 resume, konts = konts
                 m = resume(m.value)
-            elif m.index <= position:
+            elif m.command.effect in answers:
                 step = answer(m, konts, state)
                 if type(step) is not tuple:
                     return step
                 m, konts, state = step
             else:
                 resume = m.resume
-                return Op(row, m.index - 1, m.command, lambda response: walk(resume(response), konts, state))
+                return Op(row, m.command, lambda response: walk(resume(response), konts, state))
 
     return walk
 
@@ -181,7 +180,9 @@ def handle_rec(
 ) -> RecursiveFn:
     """Discharge a recursive function's second effect with ``handler``.
 
-    The result is a recursive function over the row with that effect gone.
+    The walk answers the row's first two effects, recursion and the
+    handled one, by effect.  The result is a recursive function over the
+    row with the handled effect gone.
     Its inputs are pairs ``PairV(original_input, Str(state))``: the handler
     threads the state through the body, and each recursive call's input is
     paired with the state at that moment, so recursion and state advance
@@ -192,13 +193,13 @@ def handle_rec(
     new_row = EffectRow((EffectId.REC,) + f.row.effects[2:])
 
     def answer(m: Op, konts: None, state: str) -> tuple | Computation:
-        if m.index == 1:
+        if m.command.effect is not _REC:
             response, state = handler(m.command, state)
             return (m.resume(response), None, state)
         resume, paired = m.resume, PairV(m.command.payload, Str(state))
-        return Op(new_row, 0, Command(_REC, _KIND_CALL, paired), lambda output: walk(resume(output), None, state))
+        return Op(new_row, Command(_REC, _KIND_CALL, paired), lambda output: walk(resume(output), None, state))
 
-    walk = _walker(new_row, 1, answer)
+    walk = _walker(new_row, f.row.effects[:2], answer)
 
     def body(paired_input: Value) -> Computation:
         if not isinstance(paired_input, PairV) or not isinstance(paired_input.second, Str):
@@ -220,20 +221,18 @@ _RAN_DRY = Value()
 def _unfold(f: RecursiveFn, m: Computation, fuel: int, dry: Computation) -> Computation:
     """``m`` with ``f``'s recursive calls substituted up to ``fuel`` deep.
 
-    The result runs over ``f``'s row without its head recursion effect,
-    with every other command shifted one position down.  A call past the
-    budget ends its path in ``dry``.  Unfolding is lazy, one command at a
+    The result runs over ``f``'s row without its head recursion effect;
+    every call is answered, whichever row it was built over.  A call past
+    the budget ends its path in ``dry``.  Unfolding is lazy, one command at a
     time, on the walk :func:`handle_rec` uses too.
     """
 
     def answer(m: Op, konts: tuple | None, fuel: int) -> tuple | Computation:
-        if m.command.effect is not _REC:
-            raise RowError("recursion must sit at the head of the row")
         if fuel == 0:
             return dry
         return (f.body(m.command.payload), (m.resume, konts), fuel - 1)
 
-    return _walker(EffectRow(f.row.effects[1:]), 0, answer)(m, None, fuel)
+    return _walker(EffectRow(f.row.effects[1:]), (_REC,), answer)(m, None, fuel)
 
 
 def terminates_in(tail_row: SemanticsRow, f: RecursiveFn, m: Computation, fuel: int) -> bool:

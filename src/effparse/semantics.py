@@ -2,8 +2,9 @@
 
 A :class:`PredicateTransformer` says what one effect's commands mean: it
 turns a postcondition on responses into a proposition about issuing the
-command.  A :class:`SemanticsRow` lines transformers up with an effect row,
-and :func:`wp` folds a row over a computation to compute the weakest
+command.  A :class:`SemanticsRow` gives each effect of a row its one
+transformer, and :func:`wp` folds a row over a computation, answering each
+command by the transformer for its effect, to compute the weakest
 precondition of a postcondition.  Propositions are plain booleans — every
 check here is decidable at the scales this library targets.
 
@@ -113,9 +114,15 @@ class PredicateTransformer:
 
 @dataclass(frozen=True)
 class SemanticsRow:
-    """Transformers in effect-row order: the i-th handles the i-th effect."""
+    """At most one transformer per effect, in any order; a command is
+    answered by the transformer for its effect."""
 
     transformers: tuple[PredicateTransformer, ...]
+
+    def __post_init__(self) -> None:
+        effects = [pt.effect for pt in self.transformers]
+        if len(set(effects)) != len(effects):
+            raise RowError(f"two transformers for one effect in {[e.value for e in effects]}")
 
 
 @dataclass(frozen=True)
@@ -232,18 +239,11 @@ def pt_parser_maybe() -> PredicateTransformer:
 
 
 def _transformer_for(row: SemanticsRow, op: Op) -> PredicateTransformer:
-    if op.index >= len(row.transformers):
-        raise RowError(
-            f"computation uses effect position {op.index} but the semantics row "
-            f"has only {len(row.transformers)} transformers"
-        )
-    pt = row.transformers[op.index]
-    if pt.effect is not op.command.effect:
-        raise RowError(
-            f"transformer at position {op.index} handles {pt.effect.value}, "
-            f"but the command is for {op.command.effect.value}"
-        )
-    return pt
+    effect = op.command.effect
+    for pt in row.transformers:
+        if pt.effect is effect:
+            return pt
+    raise RowError(f"the semantics row has no transformer for {effect.value}")
 
 
 def _wp(row: SemanticsRow, m: Computation, post: StatefulPost, state: str | None) -> bool:
@@ -258,7 +258,6 @@ def _wp(row: SemanticsRow, m: Computation, post: StatefulPost, state: str | None
     gets a frame.  So depth is bounded by memory, not the Python stack.
     """
     transformers = row.transformers
-    count = len(transformers)
     # One frame per op with branches left: its quantifier, its resumption,
     # its branches, and the index of the next one.
     stack: list[tuple[bool, Callable[[Value], Computation], Branches, int]] = []
@@ -268,10 +267,14 @@ def _wp(row: SemanticsRow, m: Computation, post: StatefulPost, state: str | None
         else:
             if not isinstance(m, Op):
                 raise TypeError(f"expected a computation, got {m!r}")
-            index, command = m.index, m.command
-            pt = transformers[index] if index < count else None
-            if pt is None or pt.effect is not command.effect:
-                pt = _transformer_for(row, m)  # raises the RowError that fits
+            command = m.command
+            effect = command.effect
+            # A scan, not a dict: hashing an Enum member is a Python call.
+            for pt in transformers:
+                if pt.effect is effect:
+                    break
+            else:
+                pt = _transformer_for(row, m)  # raises the RowError
             branches = pt.branches(command, state)
             if branches:
                 response, state = branches[0]
@@ -299,8 +302,9 @@ def _wp(row: SemanticsRow, m: Computation, post: StatefulPost, state: str | None
 def wp(row: SemanticsRow, m: Computation, post: Callable[[Value], bool]) -> bool:
     """Weakest precondition of ``post`` for ``m`` under ``row``.
 
-    Pure leaves are judged with ``post``; each op defers to the aligned
-    transformer applied to the weakest precondition of its resumption.
+    Pure leaves are judged with ``post``; each op defers to the
+    transformer for its command's effect, applied to the weakest
+    precondition of its resumption.
     Satisfies the sequencing law
     ``wp(row, bind(m, f), P) == wp(row, m, lambda x: wp(row, f(x), P))``.
     """
@@ -355,8 +359,8 @@ def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> 
     rest)``, so entering a call pushes the call's resumption rather than
     binding the callee's body to it.  Depth is bounded by memory alone.
     Each step costs a constant: commands are compared with module constants,
-    not Enum members, and each ``Op`` was checked when built (its index is in
-    its row, and its command's effect sits there), so none is checked here.
+    not Enum members, and each ``Op`` was checked when built (its command's
+    effect is in its row), so none is checked here.
     """
     leaves: list[tuple[Value, str | None]] = []
     work: list[tuple[Computation, str | None, int, tuple | None]] = [(m, state, fuel, None)]

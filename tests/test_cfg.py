@@ -106,6 +106,10 @@ def test_grammar_text_syntax_errors() -> None:
     ):
         with pytest.raises(GrammarSyntaxError):
             grammar_from_text(bad)
+    # Built directly, a terminal still holds exactly one character.
+    for bad in ("ab", ""):
+        with pytest.raises(ValueError, match="single characters"):
+            Term(bad)
 
 
 def test_grammar_text_breaks_lines_only_at_cr_and_lf() -> None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -278,3 +281,15 @@ def test_usage_errors_are_exit_two(capsys) -> None:
     assert run_cli(capsys, "match", "a", "a", "--fuel", "-1")[0] == 2
     assert run_cli(capsys, "match", "a", "a", "--fuel", "x")[0] == 2
     assert run_cli(capsys, "match", "a", "a", "--engine", "warp")[0] == 2
+
+
+def test_run_as_a_module_writes_only_its_own_stderr() -> None:
+    """``python -m effparse.cli`` runs a module that importing the package
+    did not already load, so Python prints no warning before the CLI runs."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "effparse.cli", "match", "a", "a"],
+        env=env, capture_output=True, timeout=60, check=False,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"(char a)\n", b"")

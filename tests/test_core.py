@@ -90,27 +90,21 @@ def test_rows_reject_duplicate_effects() -> None:
         EffectRow((EffectId.NONDET, EffectId.NONDET))
 
 
-def test_index_of_names_missing_effects() -> None:
-    assert PARSER_ROW.index_of(EffectId.PARSER_STRICT) == 1
-    with pytest.raises(RowError):
-        NONDET_ROW.index_of(EffectId.REC)
-
-
-def test_op_index_must_align_with_command_effect() -> None:
+def test_op_command_effect_must_be_in_its_row() -> None:
     cmd = Command(EffectId.PARSER_STRICT, CommandKind.SYMBOL)
-    Op(PARSER_ROW, 1, cmd, Pure)
+    Op(PARSER_ROW, cmd, Pure)
+    with pytest.raises(RowError, match="parser_strict"):
+        Op(NONDET_ROW, cmd, Pure)
     with pytest.raises(RowError):
-        Op(PARSER_ROW, 0, cmd, Pure)
-    with pytest.raises(RowError):
-        Op(PARSER_ROW, 2, cmd, Pure)
-    with pytest.raises(RowError):
-        Op(PARSER_ROW, -1, cmd, Pure)
-    # Every way of building one runs the checks: keywords, replace, and
+        Op(EffectRow(()), cmd, Pure)
+    # Every way of building one runs the check: keywords, replace, and
     # copies and pickles, which rebuild through the constructor.
-    op = Op(row=PARSER_ROW, index=1, command=cmd, resume=Pure)
+    op = Op(row=PARSER_ROW, command=cmd, resume=Pure)
     with pytest.raises(RowError):
-        dataclasses.replace(op, index=0)
-    assert op.__reduce__() == (Op, (PARSER_ROW, 1, cmd, Pure))
+        Op(row=NONDET_ROW, command=cmd, resume=Pure)
+    with pytest.raises(RowError):
+        dataclasses.replace(op, row=NONDET_ROW)
+    assert op.__reduce__() == (Op, (PARSER_ROW, cmd, Pure))
 
 
 def test_ops_compare_by_identity() -> None:
@@ -126,13 +120,13 @@ def test_hot_nodes_keep_the_frozen_dataclass_contracts() -> None:
     ``hash`` and ``repr`` from the fields, ``dataclasses.fields`` and
     ``replace``, weak references, copies and pickles."""
     cmd = Command(EffectId.PARSER_STRICT, CommandKind.SYMBOL)
-    value, op = Pure(Ch("a")), Op(PARSER_ROW, 1, cmd, Pure)
+    value, op = Pure(Ch("a")), Op(PARSER_ROW, cmd, Pure)
     S = Nonterminal("S")
     leaf = SemValue(S, 1, ())
     sem = SemValue(S, 0, (leaf,))
     fields = {
         value: ("value",),
-        op: ("row", "index", "command", "resume"),
+        op: ("row", "command", "resume"),
         sem: ("nt", "production", "children"),
     }
     for hot, names in fields.items():
@@ -146,7 +140,7 @@ def test_hot_nodes_keep_the_frozen_dataclass_contracts() -> None:
     assert value == Pure(Ch("a")) and hash(value) == hash(Pure(Ch("a"))) == hash((Ch("a"),))
     assert value != Pure(Ch("b")) and value != Ch("a")
     assert repr(value) == "Pure(value=Ch(char='a'))"
-    assert repr(op) == f"Op(row={PARSER_ROW!r}, index=1, command={cmd!r}, resume={Pure!r})"
+    assert repr(op) == f"Op(row={PARSER_ROW!r}, command={cmd!r}, resume={Pure!r})"
     twin = SemValue(Nonterminal("S"), 0, (SemValue(Nonterminal("S"), 1, ()),))
     assert sem == twin and hash(sem) == hash(twin) == hash((S, 0, (leaf,)))
     assert sem != leaf and sem != (S, 0, (leaf,))
@@ -159,7 +153,7 @@ def test_hot_nodes_keep_the_frozen_dataclass_contracts() -> None:
             assert clone == equal and clone is not equal
     for clone in (copy.copy(op), copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
         assert clone is not op and clone != op
-        assert (clone.row, clone.index, clone.command, clone.resume) == (PARSER_ROW, 1, cmd, Pure)
+        assert (clone.row, clone.command, clone.resume) == (PARSER_ROW, cmd, Pure)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +182,8 @@ def test_choices_of_nothing_is_fail() -> None:
     m = choices([])
     assert isinstance(m, Op)
     assert m.command.kind is CommandKind.FAIL
+    with pytest.raises(AssertionError):
+        m.resume(UNIT)
 
 
 def test_choices_preserves_branch_order() -> None:
@@ -197,10 +193,10 @@ def test_choices_preserves_branch_order() -> None:
 
 def test_symbol_and_call_constructors_pick_their_row_slot() -> None:
     row = EffectRow((EffectId.REC, EffectId.PARSER_MAYBE, EffectId.NONDET))
-    assert symbol_maybe(row).index == 1
-    assert call(row, Str("f")).index == 0
+    assert symbol_maybe(row).command.effect is EffectId.PARSER_MAYBE
+    assert call(row, Str("f")).command.effect is EffectId.REC
     assert call(row, Str("f")).command.payload == Str("f")
-    assert symbol_strict(PARSER_ROW).index == 1
+    assert symbol_strict(PARSER_ROW).command.effect is EffectId.PARSER_STRICT
     with pytest.raises(RowError):
         symbol_strict(NONDET_ROW)
 

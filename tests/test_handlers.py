@@ -167,6 +167,8 @@ def test_handle_rec_threads_state_through_calls() -> None:
 def test_handle_rec_validates_inputs() -> None:
     with pytest.raises(RowError):
         handle_rec(h_parser, RecursiveFn(EffectRow((EffectId.REC,)), pure))
+    with pytest.raises(RowError, match="head"):
+        RecursiveFn(EffectRow((EffectId.PARSER_MAYBE, EffectId.REC)), pure)
     handled = dmatch_handled()
     with pytest.raises(TypeError):
         handled.body(Str("not-a-pair"))
@@ -197,10 +199,15 @@ def test_terminates_in_is_monotone_in_fuel() -> None:
                 assert not lower or higher
 
 
-def test_terminates_in_requires_head_recursion() -> None:
-    wrong_row = EffectRow((EffectId.NONDET, EffectId.REC))
-    with pytest.raises(RowError):
-        terminates_in(ALL, match_fn(), call(wrong_row, Str("x")), 3)
+def test_terminates_in_finds_calls_by_effect() -> None:
+    """A call is unfolded whichever position its row gives recursion."""
+    f, reordered = match_fn(), EffectRow((EffectId.NONDET, EffectId.REC))
+    for r in regexes_up_to(2):
+        for s in strings_up_to(2):
+            payload = match_input(r, s)
+            for fuel in range(4):
+                expected = terminates_in(ALL, f, call(MATCH_ROW, payload), fuel)
+                assert terminates_in(ALL, f, call(reordered, payload), fuel) == expected
 
 
 def test_terminates_fmap_law_holds_on_samples() -> None:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from effparse.core import Op, SplitV, Str
+from effparse.core import EffectId, Op, SplitV, Str
 from effparse.handlers import Done, TerminationInvariantError, run_with_fuel
 from effparse.regex import (
     DMATCH_ROW,
@@ -291,7 +291,7 @@ def test_dmatch_reads_before_recursing() -> None:
     m = dmatch(A)
     assert isinstance(m, Op)
     assert m.row.effects == DMATCH_ROW.effects
-    assert m.index == 1  # the optional read comes first
+    assert m.command.effect is EffectId.PARSER_MAYBE
 
 
 def test_dmatch_run_goldens() -> None:

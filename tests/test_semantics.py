@@ -127,6 +127,27 @@ def test_transformers_reject_foreign_commands() -> None:
         wp(ALL, symbol_strict(EffectRow((EffectId.PARSER_STRICT,))), lambda _: True)
     with pytest.raises(RowError):
         wp(SemanticsRow((pt_parse_strict(),)), fail(EffectRow((EffectId.NONDET,))), lambda _: True)
+    # wp never hands a transformer another effect's command; asked directly,
+    # each one refuses it.
+    read, choose, invoke = symbol_strict(PARSER_ROW).command, fail().command, call(REC_ROW, Str("f")).command
+    for pt, command in (
+        (pt_all(), read),
+        (pt_any(), invoke),
+        (pt_rec(toy_invariant()), choose),
+        (pt_parse_strict(), choose),
+        (pt_parser_maybe(), invoke),
+    ):
+        with pytest.raises(RowError, match="cannot interpret"):
+            pt.branches(command, "a")
+        with pytest.raises(RowError, match="cannot interpret"):
+            pt.transform(command, lambda _r, _s: True, "a")
+
+
+def test_a_semantics_row_has_one_transformer_per_effect() -> None:
+    with pytest.raises(RowError, match="two transformers"):
+        SemanticsRow((pt_all(), pt_any()))
+    with pytest.raises(RowError, match="two transformers"):
+        SemanticsRow((pt_parse_strict(), pt_all(), pt_parse_strict()))
 
 
 def test_wp_rejects_rows_that_are_too_short() -> None:
@@ -221,13 +242,29 @@ def _logged(m: Computation, resumed: list, path: tuple = ()) -> Computation:
         resumed.append(path + (response,))
         return _logged(m.resume(response), resumed, path + (response,))
 
-    return Op(m.row, m.index, m.command, resume)
+    return Op(m.row, m.command, resume)
 
 
 STATEFUL_POSTS = (
     lambda _v, state: state == "",
     lambda v, state: isinstance(v, Ch) or state.startswith("a"),
     lambda v, _state: v == UNIT,
+)
+
+#: Semantics rows, each with an effect row and a start state, that the
+#: wp tests fold random readers under.
+WP_CASES = (
+    (ALL, NONDET_ROW, None),
+    (ANY, NONDET_ROW, None),
+    (PARSER_SEMANTICS, PARSER_ROW, "ab"),
+    (SemanticsRow((pt_any(), pt_parse_strict())), PARSER_ROW, "ba"),
+    (SemanticsRow((pt_all(), pt_parser_maybe())), MAYBE_ROW, "a"),
+    (SemanticsRow((pt_rec(toy_invariant()), pt_any())), EffectRow((EffectId.REC, EffectId.NONDET)), None),
+    (
+        SemanticsRow((pt_rec(toy_invariant()), pt_all(), pt_parse_strict())),
+        EffectRow((EffectId.REC, EffectId.NONDET, EffectId.PARSER_STRICT)),
+        "ab",
+    ),
 )
 
 
@@ -239,21 +276,7 @@ def test_wp_agrees_with_the_recursive_fold() -> None:
     with one (followed without a frame), and with a second and a third
     branch still to try."""
     rng = random.Random(37)
-    rec = pt_rec(toy_invariant())
-    cases = [
-        (ALL, NONDET_ROW, None),
-        (ANY, NONDET_ROW, None),
-        (PARSER_SEMANTICS, PARSER_ROW, "ab"),
-        (SemanticsRow((pt_any(), pt_parse_strict())), PARSER_ROW, "ba"),
-        (SemanticsRow((pt_all(), pt_parser_maybe())), MAYBE_ROW, "a"),
-        (SemanticsRow((rec, pt_any())), EffectRow((EffectId.REC, EffectId.NONDET)), None),
-        (
-            SemanticsRow((rec, pt_all(), pt_parse_strict())),
-            EffectRow((EffectId.REC, EffectId.NONDET, EffectId.PARSER_STRICT)),
-            "ab",
-        ),
-    ]
-    for sem, row, state0 in cases:
+    for sem, row, state0 in WP_CASES:
         posts = STATEFUL_POSTS if state0 is not None else STATEFUL_POSTS[2:]
         for _ in range(80):
             m = random_reader(rng, rng.randrange(1, 10), row)
@@ -266,6 +289,19 @@ def test_wp_agrees_with_the_recursive_fold() -> None:
                 assert verdict == reference.wp(sem, _logged(m, old_resumed), old_post, state0)
                 assert new_asked == old_asked
                 assert new_resumed == old_resumed
+
+
+def test_wp_reads_a_semantics_row_in_any_order() -> None:
+    """Each command is answered by its effect's transformer, so listing a
+    row's transformers in reverse changes no verdict."""
+    rng = random.Random(41)
+    for sem, row, state0 in WP_CASES:
+        reversed_sem = SemanticsRow(sem.transformers[::-1])
+        posts = STATEFUL_POSTS if state0 is not None else STATEFUL_POSTS[2:]
+        for _ in range(40):
+            m = random_reader(rng, rng.randrange(1, 10), row)
+            for post in posts:
+                assert wp_stateful(reversed_sem, m, post, state0) == wp_stateful(sem, m, post, state0)
 
 
 def test_a_resumption_that_returns_no_computation_is_a_type_error() -> None:
