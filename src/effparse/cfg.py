@@ -43,12 +43,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import groupby
 from typing import Iterable, Iterator
 
 from .core import (
-    Ch,
     Command,
     Computation,
     EffectId,
@@ -66,7 +65,6 @@ from .core import (
     choices,
     fail,
     pure,
-    symbol_strict,
 )
 from .handlers import Done, Exhausted, RecursiveFn, TerminationInvariantError, _unfold, run_with_fuel
 from .render import Shape, render_tree
@@ -88,7 +86,6 @@ __all__ = [
     "build_parser",
     "chain_bound",
     "check_variant",
-    "exact",
     "expanded_parser",
     "filter_lhs",
     "format_sem_value",
@@ -132,14 +129,8 @@ class CyclicGrammarError(GrammarError):
 # ---------------------------------------------------------------------------
 
 
-class GSymbol:
-    """A grammar symbol: either a terminal character or a nonterminal."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
-class Nonterminal(GSymbol, Value):
+class Nonterminal(Value):
     """A nonterminal: a right-hand-side symbol, and the input of its calls."""
 
     name: str
@@ -150,12 +141,16 @@ class Nonterminal(GSymbol, Value):
 
 
 @dataclass(frozen=True)
-class Term(GSymbol):
+class Term:
     char: str
 
     def __post_init__(self) -> None:
         if len(self.char) != 1:
             raise ValueError(f"terminals are single characters, got {self.char!r}")
+
+
+#: A grammar symbol: either a terminal character or a nonterminal.
+GSymbol = Term | Nonterminal
 
 
 @dataclass(frozen=True)
@@ -191,9 +186,14 @@ class Grammar:
                 if isinstance(symbol, Nonterminal) and symbol not in defined:
                     raise UndefinedNonterminalError(f"nonterminal {symbol.name!r} is used but never defined")
 
+    @cached_property
+    def _index(self) -> _Index:
+        """The parser index, built on first use (see :class:`_Index`)."""
+        return _Index(self)
+
     def __getstate__(self) -> dict:
         # Copies and pickles leave out the parser index (see _index), which
-        # holds closures and is rebuilt on demand.
+        # holds closures and is rebuilt on first use.
         return {"productions": self.productions}
 
 
@@ -267,7 +267,9 @@ class _Index:
     Productions grouped by left-hand side, and, as first asked for, bodies
     keyed by ``(name, follow)`` (see :func:`from_prods`).  Computations are
     immutable and their resumptions pure, so every parse of the grammar can
-    share them.  The index lives on its grammar and is dropped with it.
+    share them.  The index is the grammar's cached ``_index`` property: kept
+    in the instance dict, not a field, it takes no part in equality, hashing
+    or the repr, and is dropped with its grammar.
     """
 
     __slots__ = ("by_lhs", "bodies")
@@ -280,18 +282,9 @@ class _Index:
         self.bodies: dict[tuple[str, str | None], Computation] = {}
 
 
-def _index(g: Grammar) -> _Index:
-    index = g.__dict__.get("_index")
-    if index is None:
-        # The grammar is frozen; the index is not one of its fields, so it
-        # takes no part in equality, hashing or its repr.
-        index = g.__dict__["_index"] = _Index(g)
-    return index
-
-
 def filter_lhs(g: Grammar, a: Nonterminal) -> tuple[Production, ...]:
     """The productions for ``a``, in grammar order."""
-    return _index(g).by_lhs.get(a, ())
+    return g._index.by_lhs.get(a, ())
 
 
 #: The end-of-input check is an optional read, which answers ``UNIT`` only
@@ -302,12 +295,6 @@ _DEAD = fail(CFG_ROW)
 #: One checked ``Op`` per grammar step: a read, or the end check, and its resumption.
 _read = partial(Op, CFG_ROW, _READ_STRICT)
 _read_end = partial(Op, _END_ROW, _READ_MAYBE)
-
-
-def exact(c: str) -> Computation:
-    """Consume exactly the character ``c``; any other next character fails."""
-    expected, done = Ch(c), pure(UNIT)
-    return bind(symbol_strict(CFG_ROW), lambda response: done if response == expected else _DEAD)
 
 
 def build_parser(
@@ -376,7 +363,7 @@ def from_prods(g: Grammar, a: Nonterminal, follow: str | None = None) -> Computa
     by ``t`` for ``t``, consumed.  The computation is built on the first
     call for ``a`` and ``follow`` and shared by every later one.
     """
-    bodies = _index(g).bodies
+    bodies = g._index.bodies
     body = bodies.get((a.name, follow))
     if body is None:
         alternatives: list[Computation] = []

@@ -194,12 +194,6 @@ class EffectRow:
         if len(set(self.effects)) != len(self.effects):
             raise RowError(f"duplicate effect in row {self.effects}")
 
-    def __contains__(self, effect: EffectId) -> bool:
-        return effect in self.effects
-
-    def __len__(self) -> int:
-        return len(self.effects)
-
 
 NONDET_ROW = EffectRow((EffectId.NONDET,))
 PARSER_ROW = EffectRow((EffectId.NONDET, EffectId.PARSER_STRICT))

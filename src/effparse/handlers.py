@@ -188,7 +188,7 @@ def handle_rec(
     paired with the state at that moment, so recursion and state advance
     together.  Effects beyond the handled one keep their relative order.
     """
-    if len(f.row) < 2:
+    if len(f.row.effects) < 2:
         raise RowError("handle_rec needs a second effect to discharge")
     new_row = EffectRow((EffectId.REC,) + f.row.effects[2:])
 

@@ -416,26 +416,22 @@ def _length_bounds(r: Regex, *kids: tuple[int, int | None]) -> tuple[int, int | 
     return left_lo + right_lo, None if unbounded else left_hi + right_hi  # type: ignore[operator]
 
 
-def enumerate_matches(r: Regex, s: str, max_empty_iterations: int = 0) -> tuple[ParseTree, ...]:
-    """Every witness that ``s`` matches ``r``, under a star discipline.
+def enumerate_matches(r: Regex, s: str) -> tuple[ParseTree, ...]:
+    """Every witness that ``s`` matches ``r`` in which each iteration consumes.
 
     The full set of witnesses is infinite whenever a starred subexpression
-    can match the empty string, so iteration witnesses are restricted: each
-    list may contain at most ``max_empty_iterations`` elements that consume
-    no input (the default, zero, is the "every iteration consumes" mode).
-    Any match at all has a witness with no empty iterations — delete them —
-    so existence questions are insensitive to the bound.
+    can match the empty string, so every element of an iteration's list
+    must consume input.  Any match at all has such a witness — delete the
+    empty iterations — so existence questions lose nothing.
 
     Results are duplicate-free, in a fixed order: alternatives list left
     witnesses before right ones; concatenations order by split point,
     shortest left part first; iterations put the bare empty list first,
-    then empty-consuming heads, then heads by how much they consume.
+    then heads by how much they consume.
 
     A desk-scale oracle: it recurses once per regex level and per
     iteration, and its tables last for one call.
     """
-    if max_empty_iterations < 0:
-        raise ValueError("max_empty_iterations must be >= 0")
     bounds = _fold(r, _length_bounds)
 
     def lengths(q: Regex, lo: int, hi: int) -> range:
@@ -462,25 +458,21 @@ def enumerate_matches(r: Regex, s: str, max_empty_iterations: int = 0) -> tuple[
                 for tr in enum(r.right, s[i:])
             )
         assert isinstance(r, Star)
-        return enum_star(r.body, s, max_empty_iterations)
+        return enum_star(r.body, s)
 
     @lru_cache(maxsize=None)
-    def enum_star(q: Regex, s: str, remaining: int) -> tuple[ListT, ...]:
+    def enum_star(q: Regex, s: str) -> tuple[ListT, ...]:
         out: list[ListT] = []
         if s == "":
             out.append(ListT(()))
-        if remaining > 0:
-            for head in enum(q, ""):
-                for rest in enum_star(q, s, remaining - 1):
-                    out.append(ListT((head,) + rest.items))
         for i in lengths(q, 1, len(s)):
             for head in enum(q, s[:i]):
-                for rest in enum_star(q, s[i:], remaining):
+                for rest in enum_star(q, s[i:]):
                     out.append(ListT((head,) + rest.items))
         return tuple(out)
 
     try:
-        return tuple(dict.fromkeys(enum(r, s)))
+        return enum(r, s)
     finally:
         enum.cache_clear()
         enum_star.cache_clear()

@@ -238,14 +238,6 @@ def pt_parser_maybe() -> PredicateTransformer:
 # ---------------------------------------------------------------------------
 
 
-def _transformer_for(row: SemanticsRow, op: Op) -> PredicateTransformer:
-    effect = op.command.effect
-    for pt in row.transformers:
-        if pt.effect is effect:
-            return pt
-    raise RowError(f"the semantics row has no transformer for {effect.value}")
-
-
 def _wp(row: SemanticsRow, m: Computation, post: StatefulPost, state: str | None) -> bool:
     """Evaluate the and/or tree of ``m``'s branches on an explicit stack.
 
@@ -274,7 +266,7 @@ def _wp(row: SemanticsRow, m: Computation, post: StatefulPost, state: str | None
                 if pt.effect is effect:
                     break
             else:
-                pt = _transformer_for(row, m)  # raises the RowError
+                raise RowError(f"the semantics row has no transformer for {effect.value}")
             branches = pt.branches(command, state)
             if branches:
                 response, state = branches[0]

@@ -5,7 +5,8 @@ one, kept here so the differential tests can hold the two side by side:
 
 * :func:`is_match` follows the inductive relation case by case, trying
   every split of the string for a concatenation or an iteration head;
-* :func:`enumerate_matches` tries every split point and every head length;
+* :func:`enumerate_matches` tries every split point and every head length,
+  and lets each iteration list hold a budget of empty elements;
 * :func:`dmatch_unsimplified` walks the paper's unsimplified derivatives
   and integrates the end-of-input witness back through every one of them;
 * :func:`from_prods` and :func:`build_parser` rebuild a nonterminal's
@@ -69,7 +70,7 @@ from effparse.regex import (
     integral_tree,
     nullable,
 )
-from effparse.semantics import SemanticsRow, StatefulPost, _transformer_for
+from effparse.semantics import SemanticsRow, StatefulPost
 
 
 def is_match(r: Regex, s: str, t: ParseTree) -> bool:
@@ -145,7 +146,9 @@ def _enum_star(q: Regex, s: str, remaining: int, k: int) -> tuple[ListT, ...]:
 
 
 def enumerate_matches(r: Regex, s: str, max_empty_iterations: int = 0) -> tuple[ParseTree, ...]:
-    """Every witness, in the library's documented order, found without bounds."""
+    """Every witness with at most ``max_empty_iterations`` empty elements per
+    iteration list, found without length bounds; at budget 0, the library's
+    witnesses in its documented order."""
     return tuple(dict.fromkeys(_enum(r, s, max_empty_iterations)))
 
 
@@ -209,7 +212,7 @@ def wp(row: SemanticsRow, m: Computation, post: StatefulPost, state: str | None)
     if isinstance(m, Pure):
         return post(m.value, state)
     assert isinstance(m, Op)
-    pt = _transformer_for(row, m)
+    pt = next(pt for pt in row.transformers if pt.effect is m.command.effect)
     resume = m.resume
     return pt.transform(
         m.command,

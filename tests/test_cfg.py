@@ -19,7 +19,6 @@ from effparse.cfg import (
     build_parser,
     chain_bound,
     check_variant,
-    exact,
     expanded_parser,
     filter_lhs,
     format_sem_value,
@@ -31,7 +30,7 @@ from effparse.cfg import (
     parse_fuel,
     spec_produce,
 )
-from effparse.core import UNIT, Ch, CommandKind, Op, Str
+from effparse.core import Ch, CommandKind, Op, Str
 from effparse.handlers import Done, TerminationInvariantError, run_parser, run_with_fuel
 from effparse.semantics import Invariant, in_language, results_demonic
 
@@ -145,12 +144,6 @@ def test_filter_lhs_keeps_grammar_order() -> None:
     g, _, _ = load(G_RIGHT_REC)
     assert [p.index for p in filter_lhs(g, E)] == [0, 1]
     assert filter_lhs(g, Nonterminal("Z")) == ()
-
-
-def test_exact_consumes_one_matching_character() -> None:
-    assert results_demonic(exact("a"), state0="ab") == ((UNIT, "b"),)
-    assert results_demonic(exact("a"), state0="ba") == ()
-    assert results_demonic(exact("a"), state0="") == ()
 
 
 def test_build_parser_calls_for_nonterminals() -> None:

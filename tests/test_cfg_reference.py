@@ -286,7 +286,7 @@ def test_call_inputs_find_their_bodies_by_identity_or_by_equality() -> None:
     body = from_prods_fn(g).body
     # F -> '(' E ')' calls E with the follow ')': the run built that body.
     parse(g, E, "(x)")
-    assert ("E", ")") in cfg._index(g).bodies
+    assert ("E", ")") in g._index.bodies
     # Plain, anchored, and followed by ')'.
     fresh_E = Nonterminal("E")
     assert isinstance(fresh_E, Value)

@@ -35,8 +35,10 @@ def grammar_file(tmp_path: Path):
 
 
 def test_match_default_engine(capsys) -> None:
-    code, out, err = run_cli(capsys, "match", "a*", "aa")
-    assert (code, out, err) == (0, "(list (char a) (char a))\n", "")
+    # The derivative engine runs on its proven budget and does not read --fuel.
+    for fuel in ((), ("--fuel", "0")):
+        code, out, err = run_cli(capsys, "match", *fuel, "a*", "aa")
+        assert (code, out, err) == (0, "(list (char a) (char a))\n", "")
 
 
 def test_match_no_results_is_exit_one(capsys) -> None:

@@ -45,8 +45,8 @@ from effparse.regex import (
 )
 from effparse.semantics import Invariant, refines_all, results_demonic
 
+import reference
 from helpers import regexes_up_to, strings_up_to
-from reference import dmatch_unsimplified
 
 A, B = Singleton("a"), Singleton("b")
 INV = match_spec_invariant()
@@ -184,7 +184,7 @@ def test_nullable_agrees_with_the_relation() -> None:
     for r in regexes_up_to(4):
         witness = nullable(r)
         if witness is None:
-            assert enumerate_matches(r, "", 1) == ()
+            assert reference.enumerate_matches(r, "", 1) == ()
         else:
             assert is_match(r, "", witness)
 
@@ -251,8 +251,8 @@ def test_derivative_step_rectifies_to_the_integral() -> None:
             d, rectify = derivative_step(r, x)
             unsimplified = derivative(r, x)
             for xs in strings_up_to(3):
-                witnesses = enumerate_matches(d, xs, 1)
-                integrals = {integral_tree(r, x, u) for u in enumerate_matches(unsimplified, xs, 1)}
+                witnesses = reference.enumerate_matches(d, xs, 1)
+                integrals = {integral_tree(r, x, u) for u in reference.enumerate_matches(unsimplified, xs, 1)}
                 assert bool(witnesses) == bool(integrals)
                 for t in witnesses:
                     assert is_match(r, x + xs, rectify(t))
@@ -327,7 +327,7 @@ def test_dmatch_sound_and_complete_at_moderate_scale() -> None:
     for r in regexes_up_to(4):
         for s in strings_up_to(3):
             got = dmatch_run(r, s)
-            allowed = enumerate_matches(r, s, 1)
+            allowed = reference.enumerate_matches(r, s, 1)
             assert set(got) <= set(allowed)
             if allowed:
                 assert got
@@ -346,19 +346,19 @@ def random_regex(rng: random.Random, depth: int):
 def test_dmatch_gives_the_unsimplified_witness() -> None:
     for r in regexes_up_to(4):
         for s in strings_up_to(4):
-            assert dmatch_run(r, s) == dmatch_unsimplified(r, s)
+            assert dmatch_run(r, s) == reference.dmatch_unsimplified(r, s)
     rng = random.Random(23)
     for _ in range(300):
         r = random_regex(rng, 5)
         for _ in range(6):
             s = "".join(rng.choice("ab") for _ in range(rng.randrange(9)))
-            assert dmatch_run(r, s) == dmatch_unsimplified(r, s)
+            assert dmatch_run(r, s) == reference.dmatch_unsimplified(r, s)
     for pattern in BENCH_PATTERNS:
         r = parse_regex(pattern)
         for n in (16, 32):
             s = "".join(rng.choice("ab") for _ in range(n))
             for text in (s, s[:-3] + "abb", s[: n // 2] + "c" + s[n // 2 :], ("ab" * n)[:n]):
-                assert dmatch_run(r, text) == dmatch_unsimplified(r, text)
+                assert dmatch_run(r, text) == reference.dmatch_unsimplified(r, text)
 
 
 def test_dmatch_run_agrees_with_the_handled_matcher() -> None:

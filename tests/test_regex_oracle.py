@@ -97,7 +97,7 @@ def test_is_match_agrees_with_the_split_searching_reference() -> None:
     # strings and from other regexes' trees.
     universe, strings = regexes_up_to(4), strings_up_to(3)
     trees = {r: [t for s in strings for t in enumerate_matches(r, s)] for r in universe}
-    pool = list(dict.fromkeys(t for r in universe for s in strings for t in enumerate_matches(r, s, 1)))
+    pool = list(dict.fromkeys(t for r in universe for s in strings for t in reference.enumerate_matches(r, s, 1)))
     others = random.Random(11).sample(pool, 30)
     verdicts = {True: 0, False: 0}
     for r in universe:
@@ -114,12 +114,13 @@ def test_is_match_agrees_with_the_split_searching_reference() -> None:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("budget, max_len", [(0, 4), (1, 4), (2, 2)])
+@pytest.mark.parametrize("budget, max_len", [(0, 4)])
 def test_enumeration_agrees_with_the_unbounded_reference(budget: int, max_len: int) -> None:
-    # Length bounds only skip splits that cannot match: same trees, same order.
+    # Length bounds only skip splits that cannot match: the reference's
+    # trees with no empty iteration, in the same order.
     for r in regexes_up_to(4):
         for s in strings_up_to(max_len):
-            assert enumerate_matches(r, s, budget) == reference.enumerate_matches(r, s, budget)
+            assert enumerate_matches(r, s) == reference.enumerate_matches(r, s, budget)
 
 
 
@@ -136,22 +137,14 @@ def test_enumerate_matches_goldens() -> None:
     )
 
 
-def test_enumerate_matches_star_budget() -> None:
+def test_star_of_epsilon_matches_the_empty_string_once() -> None:
     assert enumerate_matches(Star(EPSILON), "") == (ListT(()),)
-    assert enumerate_matches(Star(EPSILON), "", 1) == (ListT(()), ListT((UNIT_TREE,)))
-    assert enumerate_matches(Star(EPSILON), "", 2) == (
-        ListT(()),
-        ListT((UNIT_TREE,)),
-        ListT((UNIT_TREE, UNIT_TREE)),
-    )
-    with pytest.raises(ValueError):
-        enumerate_matches(A, "a", -1)
 
 
 def test_enumeration_is_duplicate_free() -> None:
     for r in regexes_up_to(4):
         for s in strings_up_to(3):
-            witnesses = enumerate_matches(r, s, 1)
+            witnesses = enumerate_matches(r, s)
             assert len(witnesses) == len(set(witnesses))
 
 
@@ -161,7 +154,7 @@ def test_budget_zero_witnesses_decide_existence() -> None:
     for r in regexes_up_to(4):
         for s in strings_up_to(3):
             zero = enumerate_matches(r, s)
-            one = enumerate_matches(r, s, 1)
+            one = reference.enumerate_matches(r, s, 1)
             assert bool(zero) == bool(one)
             assert set(zero) <= set(one)
 

@@ -151,7 +151,7 @@ def test_a_semantics_row_has_one_transformer_per_effect() -> None:
 
 
 def test_wp_rejects_rows_that_are_too_short() -> None:
-    with pytest.raises(RowError):
+    with pytest.raises(RowError, match="no transformer for parser_strict"):
         wp_stateful(SemanticsRow((pt_all(),)), symbol_strict(PARSER_ROW), lambda _v, _s: True, "a")
 
 
@@ -204,9 +204,9 @@ def random_reader(rng: random.Random, size: int, row: EffectRow) -> Computation:
     left_size = rng.randrange(1, size)
     left, right = random_reader(rng, left_size, row), random_reader(rng, size - left_size, row)
     steps = ["choice"]
-    if EffectId.REC in row:
+    if EffectId.REC in row.effects:
         steps.append("call")
-    if EffectId.PARSER_STRICT in row or EffectId.PARSER_MAYBE in row:
+    if EffectId.PARSER_STRICT in row.effects or EffectId.PARSER_MAYBE in row.effects:
         steps.append("read")
     step = rng.choice(steps)
     if step == "choice":
@@ -214,7 +214,7 @@ def random_reader(rng: random.Random, size: int, row: EffectRow) -> Computation:
     if step == "call":
         first = call(row, Str(rng.choice("fghk")))
     else:
-        first = symbol_strict(row) if EffectId.PARSER_STRICT in row else symbol_maybe(row)
+        first = symbol_strict(row) if EffectId.PARSER_STRICT in row.effects else symbol_maybe(row)
     return bind(first, lambda v: left if v == Ch("a") else right)
 
 
