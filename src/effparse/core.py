@@ -150,14 +150,8 @@ class CommandKind(Enum):
 #: Compared on every interpreter step; a global load is cheaper than an Enum's.
 _KIND_CHOICE, _KIND_FAIL = CommandKind.CHOICE, CommandKind.FAIL
 _KIND_SYMBOL, _KIND_CALL = CommandKind.SYMBOL, CommandKind.CALL
+_NONDET, _PARSER_MAYBE = EffectId.NONDET, EffectId.PARSER_MAYBE
 _PARSER_STRICT, _REC = EffectId.PARSER_STRICT, EffectId.REC
-
-_KINDS_BY_EFFECT: dict[EffectId, frozenset[CommandKind]] = {
-    EffectId.NONDET: frozenset({CommandKind.CHOICE, CommandKind.FAIL}),
-    EffectId.PARSER_MAYBE: frozenset({CommandKind.SYMBOL}),
-    EffectId.PARSER_STRICT: frozenset({CommandKind.SYMBOL}),
-    EffectId.REC: frozenset({CommandKind.CALL}),
-}
 
 
 @dataclass(frozen=True)
@@ -173,10 +167,19 @@ class Command:
     payload: Value = UNIT
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS_BY_EFFECT[self.effect]:
-            raise ValueError(f"effect {self.effect.value} has no {self.kind.value} command")
-        if self.kind is not CommandKind.CALL and self.payload != UNIT:
-            raise ValueError(f"{self.kind.value} commands carry no payload")
+        # Identity tests: a set or dict lookup would hash Enum members, a
+        # Python call each, and handle_rec builds a command per call it relays.
+        effect, kind = self.effect, self.kind
+        if kind is _KIND_CALL:
+            fits = effect is _REC
+        elif kind is _KIND_SYMBOL:
+            fits = effect is _PARSER_STRICT or effect is _PARSER_MAYBE
+        else:
+            fits = effect is _NONDET and (kind is _KIND_CHOICE or kind is _KIND_FAIL)
+        if not fits:
+            raise ValueError(f"effect {effect.value} has no {kind.value} command")
+        if kind is not _KIND_CALL and self.payload != UNIT:
+            raise ValueError(f"{kind.value} commands carry no payload")
 
 
 @dataclass(frozen=True)
@@ -351,12 +354,37 @@ def fail(row: EffectRow = NONDET_ROW) -> Op:
     return Op(row, _FAIL, resume)
 
 
+class _Branches:
+    """A choice's resumption, which keeps its two branches as data.
+
+    Called, it answers as any resumption does; the interpreters that know
+    this class take ``left`` and ``right`` straight from it instead.
+    """
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Computation, right: Computation) -> None:
+        self.left = left
+        self.right = right
+
+    def __call__(self, response: Value) -> Computation:
+        # Responses are TRUE or FALSE themselves but for equal Bools built elsewhere.
+        if response is TRUE:
+            return self.left
+        if response is FALSE:
+            return self.right
+        return self.left if response == TRUE else self.right
+
+
 def choice(left: Computation, right: Computation, row: EffectRow | None = None) -> Op:
     """Nondeterministically continue as ``left`` (on true) or ``right``.
 
     The row is taken from whichever branch already carries one; two pure
     branches default to the plain nondeterminism row unless ``row`` says
-    otherwise.
+    otherwise.  The resumption keeps both branches as data, so the run
+    interpreter and ``wp`` take them without calling it.  ``bind`` over a
+    choice queues its continuation on the resumption, as over any op,
+    rather than binding it into both branches at once.
     """
     if row is None:
         if isinstance(left, Op):
@@ -365,8 +393,7 @@ def choice(left: Computation, right: Computation, row: EffectRow | None = None) 
             row = right.row
         else:
             row = NONDET_ROW
-    # Responses are TRUE or FALSE themselves but for equal Bools built elsewhere.
-    return Op(row, _CHOICE, lambda r: left if r is TRUE else right if r is FALSE else left if r == TRUE else right)
+    return Op(row, _CHOICE, _Branches(left, right))
 
 
 def choices(branches: Sequence[Computation] | Iterable[Computation], row: EffectRow = NONDET_ROW) -> Computation:

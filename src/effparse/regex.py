@@ -45,7 +45,6 @@ from __future__ import annotations
 import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any
 
 from .core import (
@@ -439,29 +438,44 @@ def enumerate_matches(r: Regex, s: str) -> tuple[ParseTree, ...]:
         q_lo, q_hi = bounds[q]
         return range(max(lo, q_lo), (hi if q_hi is None else min(hi, q_hi)) + 1)
 
-    @lru_cache(maxsize=None)
+    # The tables, keyed by (regex, string); plain dicts, as cache wrappers
+    # cost more to build for each call than the lookups they serve.
+    trees: dict[tuple[Regex, str], tuple[ParseTree, ...]] = {}
+    lists: dict[tuple[Regex, str], tuple[ListT, ...]] = {}
+
     def enum(r: Regex, s: str) -> tuple[ParseTree, ...]:
+        key = (r, s)
+        found = trees.get(key)
+        if found is not None:
+            return found
+        out: tuple[ParseTree, ...]
         if isinstance(r, Empty):
-            return ()
-        if isinstance(r, Epsilon):
-            return (UNIT_TREE,) if s == "" else ()
-        if isinstance(r, Singleton):
-            return (CharT(r.char),) if s == r.char else ()
-        if isinstance(r, Alt):
-            return tuple(LeftT(t) for t in enum(r.left, s)) + tuple(RightT(t) for t in enum(r.right, s))
-        if isinstance(r, Cat):
+            out = ()
+        elif isinstance(r, Epsilon):
+            out = (UNIT_TREE,) if s == "" else ()
+        elif isinstance(r, Singleton):
+            out = (CharT(r.char),) if s == r.char else ()
+        elif isinstance(r, Alt):
+            out = tuple(LeftT(t) for t in enum(r.left, s)) + tuple(RightT(t) for t in enum(r.right, s))
+        elif isinstance(r, Cat):
             n, (right_lo, right_hi) = len(s), bounds[r.right]
-            return tuple(
+            out = tuple(
                 PairT(tl, tr)
                 for i in lengths(r.left, 0 if right_hi is None else n - right_hi, n - right_lo)
                 for tl in enum(r.left, s[:i])
                 for tr in enum(r.right, s[i:])
             )
-        assert isinstance(r, Star)
-        return enum_star(r.body, s)
+        else:
+            assert isinstance(r, Star)
+            out = enum_star(r.body, s)
+        trees[key] = out
+        return out
 
-    @lru_cache(maxsize=None)
     def enum_star(q: Regex, s: str) -> tuple[ListT, ...]:
+        key = (q, s)
+        found = lists.get(key)
+        if found is not None:
+            return found
         out: list[ListT] = []
         if s == "":
             out.append(ListT(()))
@@ -469,13 +483,10 @@ def enumerate_matches(r: Regex, s: str) -> tuple[ParseTree, ...]:
             for head in enum(q, s[:i]):
                 for rest in enum_star(q, s[i:]):
                     out.append(ListT((head,) + rest.items))
-        return tuple(out)
+        lists[key] = found = tuple(out)
+        return found
 
-    try:
-        return enum(r, s)
-    finally:
-        enum.cache_clear()
-        enum_star.cache_clear()
+    return enum(r, s)
 
 
 # ---------------------------------------------------------------------------

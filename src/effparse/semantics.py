@@ -22,9 +22,13 @@ that enumeration, which is what makes refinement executable
 (:func:`refines_all`, :func:`refines_any`).  It runs on the one iterative
 interpreter, ``_drive``, that the handlers and the grammar checks share.
 ``wp`` evaluates the and/or tree of branches in one loop of its own,
-short-circuiting as ``all``/``any`` do: a command with one branch (an
+short-circuiting as ``all``/``any`` do.  It answers the choices, failures
+and reads of the library's own transformers (:func:`pt_all`,
+:func:`pt_any`, :func:`pt_parse_strict`, :func:`pt_parser_maybe`) as the
+run interpreter does, taking a choice's branches as data, and asks any
+other transformer for its branches.  A command with one way on (an
 optional read, a strict read with input left, a call with one output) is
-followed straight on, and only a command with branches left to try keeps a
+followed straight on, and only a command with ways left to try keeps a
 frame on an explicit stack, so neither recurses once per command on the
 Python stack.
 """
@@ -40,7 +44,6 @@ from .core import (
     Command,
     Computation,
     EffectId,
-    EffectRow,
     Op,
     PARSER_ROW,
     Pure,
@@ -53,6 +56,7 @@ from .core import (
     _KIND_FAIL,
     _KIND_SYMBOL,
     _PARSER_STRICT,
+    _Branches,
 )
 
 __all__ = [
@@ -154,25 +158,23 @@ class Invariant:
 # ---------------------------------------------------------------------------
 
 
-def _nondet(name: str, demonic: bool) -> PredicateTransformer:
-    def branches(command: Command, state: str | None) -> Branches:
-        if command.kind is _KIND_CHOICE:
-            return ((TRUE, state), (FALSE, state))
-        if command.kind is _KIND_FAIL:
-            return ()
-        raise RowError(f"{name} cannot interpret {command.kind.value}")
-
-    return PredicateTransformer(EffectId.NONDET, demonic, branches)
+def _nondet_branches(command: Command, state: str | None) -> Branches:
+    """A choice's two answers, true first; a failure has none."""
+    if command.kind is _KIND_CHOICE:
+        return ((TRUE, state), (FALSE, state))
+    if command.kind is _KIND_FAIL:
+        return ()
+    raise RowError(f"{EffectId.NONDET.value} cannot interpret {command.kind.value}")
 
 
 def pt_all() -> PredicateTransformer:
     """Demonic nondeterminism: the postcondition must hold on every branch."""
-    return _nondet("pt_all", True)
+    return PredicateTransformer(EffectId.NONDET, True, _nondet_branches)
 
 
 def pt_any() -> PredicateTransformer:
     """Angelic nondeterminism: some branch must satisfy the postcondition."""
-    return _nondet("pt_any", False)
+    return PredicateTransformer(EffectId.NONDET, False, _nondet_branches)
 
 
 def pt_rec(inv: Invariant) -> PredicateTransformer:
@@ -210,14 +212,18 @@ def _next(state: str) -> tuple[Value, str]:
     return (_CHARS.get(state[0]) or Ch(state[0]), state[1:])
 
 
+def _strict_branches(command: Command, state: str | None) -> Branches:
+    text = _read("pt_parse_strict", command, state)
+    return (_next(text),) if text else ()
+
+
+def _maybe_branches(command: Command, state: str | None) -> Branches:
+    return (_next(_read("pt_parser_maybe", command, state)),)
+
+
 def pt_parse_strict() -> PredicateTransformer:
     """Strict symbol reads: exhausted input is a dead end (vacuously fine)."""
-
-    def branches(command: Command, state: str | None) -> Branches:
-        text = _read("pt_parse_strict", command, state)
-        return (_next(text),) if text else ()
-
-    return PredicateTransformer(EffectId.PARSER_STRICT, True, branches)
+    return PredicateTransformer(EffectId.PARSER_STRICT, True, _strict_branches)
 
 
 def pt_parser_maybe() -> PredicateTransformer:
@@ -226,11 +232,7 @@ def pt_parser_maybe() -> PredicateTransformer:
     The optional-character convention throughout this library: ``UNIT``
     means "no character", ``Ch(c)`` means "the character c".
     """
-
-    def branches(command: Command, state: str | None) -> Branches:
-        return (_next(_read("pt_parser_maybe", command, state)),)
-
-    return PredicateTransformer(EffectId.PARSER_MAYBE, True, branches)
+    return PredicateTransformer(EffectId.PARSER_MAYBE, True, _maybe_branches)
 
 
 # ---------------------------------------------------------------------------
@@ -238,26 +240,34 @@ def pt_parser_maybe() -> PredicateTransformer:
 # ---------------------------------------------------------------------------
 
 
-def _wp(row: SemanticsRow, m: Computation, post: StatefulPost, state: str | None) -> bool:
+def _wp(row: SemanticsRow, m: Computation, post: Callable, state: str | None, unary: bool = False) -> bool:
     """Evaluate the and/or tree of ``m``'s branches on an explicit stack.
 
-    Each op is a node quantified as its transformer says; its children,
-    the resumption at each branch, are built one at a time, left to right,
-    and the first one that settles the node (false under all, true under
-    any) cuts the rest off, exactly as ``all``/``any`` over the recursive
-    fold would.  An op with one branch has that branch's verdict, so the
-    loop goes straight on into it; only an op with branches left to try
-    gets a frame.  So depth is bounded by memory, not the Python stack.
+    Each op is a node quantified as its transformer says; its children are
+    reached one at a time, left to right, and the first one that settles
+    the node (false under all, true under any) cuts the rest off, exactly
+    as ``all``/``any`` over the recursive fold would.  The commands of the
+    library's own transformers are answered here, as the run interpreter
+    answers them: a choice takes its branches as data when its resumption
+    keeps them (``resume(TRUE)`` now and ``resume(FALSE)`` when reached
+    otherwise), a failure has its quantifier's unit, and a read answers
+    from ``state``.  Any other transformer is asked for its ``branches``,
+    whose children are its resumption at each.  An op with one way on has
+    that way's verdict, so the loop goes straight on into it; only an op
+    with ways left to try gets a frame.  So depth is bounded by memory,
+    not the Python stack.  ``post`` takes the leaf value alone when
+    ``unary``, and the value with the state otherwise.
     """
     transformers = row.transformers
-    # One frame per op with branches left: its quantifier, its resumption,
-    # its branches, and the index of the next one.
-    stack: list[tuple[bool, Callable[[Value], Computation], Branches, int]] = []
+    # One frame per op with ways left: its quantifier, then a choice's
+    # ``(None, right, state)``, a grafted choice's ``(resume, None,
+    # state)``, or ``(resume, branches, index of the next one)``.
+    stack: list[tuple] = []
     while True:
-        if isinstance(m, Pure):
-            verdict = bool(post(m.value, state))
+        if type(m) is Pure:
+            verdict = bool(post(m.value) if unary else post(m.value, state))
         else:
-            if not isinstance(m, Op):
+            if type(m) is not Op:
                 raise TypeError(f"expected a computation, got {m!r}")
             command = m.command
             effect = command.effect
@@ -267,25 +277,55 @@ def _wp(row: SemanticsRow, m: Computation, post: StatefulPost, state: str | None
                     break
             else:
                 raise RowError(f"the semantics row has no transformer for {effect.value}")
-            branches = pt.branches(command, state)
-            if branches:
-                response, state = branches[0]
-                if len(branches) > 1:
-                    stack.append((pt.demonic, m.resume, branches, 1))
-                m = m.resume(response)
+            answer, kind = pt.branches, command.kind
+            if answer is _nondet_branches and kind is _KIND_CHOICE:
+                resume = m.resume
+                if type(resume) is _Branches:
+                    stack.append((pt.demonic, None, resume.right, state))
+                    m = resume.left
+                else:
+                    stack.append((pt.demonic, resume, None, state))
+                    m = resume(TRUE)
                 continue
-            # No branch: the op holds exactly when it is demonic, as all(())
-            # and any(()) do.
-            verdict = pt.demonic
+            if (answer is _strict_branches or answer is _maybe_branches) and kind is _KIND_SYMBOL:
+                # As _next does, without a call on the hottest path.
+                if state:
+                    m, state = m.resume(_CHARS.get(state[0]) or Ch(state[0])), state[1:]
+                    continue
+                if state is None:
+                    raise ValueError("symbol read without a parser state")
+                if answer is _maybe_branches:
+                    m = m.resume(UNIT)
+                    continue
+                # A strict read at the end of the input has no way on.
+                verdict = pt.demonic
+            elif answer is _nondet_branches and kind is _KIND_FAIL:
+                verdict = pt.demonic
+            else:
+                branches = answer(command, state)
+                if branches:
+                    response, state = branches[0]
+                    if len(branches) > 1:
+                        stack.append((pt.demonic, m.resume, branches, 1))
+                    m = m.resume(response)
+                    continue
+                # No branch: the op holds exactly when it is demonic, as all(())
+                # and any(()) do.
+                verdict = pt.demonic
         # Hand the verdict up to the nearest op it does not settle, and
-        # resume that op at its next branch.
+        # go on into that op's next way.
         while stack:
-            demonic, resume, branches, next_index = stack.pop()
+            demonic, resume, rest, at = stack.pop()
             if verdict == demonic:
-                response, state = branches[next_index]
-                if next_index + 1 < len(branches):
-                    stack.append((demonic, resume, branches, next_index + 1))
-                m = resume(response)
+                if resume is None:
+                    m, state = rest, at
+                elif rest is None:
+                    m, state = resume(FALSE), at
+                else:
+                    response, state = rest[at]
+                    if at + 1 < len(rest):
+                        stack.append((demonic, resume, rest, at + 1))
+                    m = resume(response)
                 break
         else:
             return verdict
@@ -300,7 +340,7 @@ def wp(row: SemanticsRow, m: Computation, post: Callable[[Value], bool]) -> bool
     Satisfies the sequencing law
     ``wp(row, bind(m, f), P) == wp(row, m, lambda x: wp(row, f(x), P))``.
     """
-    return _wp(row, m, lambda value, _state: post(value), None)
+    return _wp(row, m, post, None, True)
 
 
 def wp_stateful(
@@ -343,9 +383,11 @@ def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> 
 
     The one interpreter behind :func:`results_demonic` and the runners in
     :mod:`effparse.handlers` and :mod:`effparse.cfg`.  It reads choices as
-    lists of successes (true branch first) and both kinds of symbol read
-    from ``state``; at its end a strict read is a dead end and an optional
-    one answers ``UNIT``.  Only calls go to ``rule``.  Nothing recurses on
+    lists of successes (true branch first), taking a choice's branches as
+    data when its resumption keeps them and resuming it with ``TRUE`` and
+    then ``FALSE`` otherwise, and both kinds of symbol read from ``state``;
+    at its end a strict read is a dead end and an optional one answers
+    ``UNIT``.  Only calls go to ``rule``.  Nothing recurses on
     the Python stack: pending branches sit on an explicit work list, and
     each branch carries its continuations as a linked list ``(resume,
     rest)``, so entering a call pushes the call's resumption rather than
@@ -359,19 +401,24 @@ def _drive(m: Computation, state: str | None, fuel: int, rule: _CommandRule) -> 
     while work:
         m, state, fuel, konts = work.pop()
         while True:
-            if isinstance(m, Pure):
+            if type(m) is Pure:
                 if konts is None:
                     leaves.append((m.value, state))
                     break
                 resume, konts = konts
                 m = resume(m.value)
                 continue
-            if not isinstance(m, Op):
+            if type(m) is not Op:
                 raise TypeError(f"expected a computation, got {m!r}")
             command = m.command
             if command.kind is _KIND_CHOICE:
-                work.append((_PURE_FALSE, state, fuel, (m.resume, konts)))
-                m = m.resume(TRUE)
+                resume = m.resume
+                if type(resume) is _Branches:
+                    work.append((resume.right, state, fuel, konts))
+                    m = resume.left
+                else:
+                    work.append((_PURE_FALSE, state, fuel, (resume, konts)))
+                    m = resume(TRUE)
             elif command.kind is _KIND_FAIL:
                 break
             elif command.kind is _KIND_SYMBOL:

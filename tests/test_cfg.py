@@ -6,7 +6,6 @@ import pytest
 
 from effparse import cfg
 from effparse.cfg import (
-    CFG_ROW,
     CyclicGrammarError,
     Grammar,
     GrammarError,

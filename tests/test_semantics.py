@@ -31,7 +31,7 @@ from effparse.core import (
     symbol_maybe,
     symbol_strict,
 )
-from effparse import handlers, semantics
+from effparse import core, handlers, semantics
 from effparse.cfg import Nonterminal, grammar_from_text, parse_full
 from effparse.handlers import RecursiveFn, run_parser, run_with_fuel
 from effparse.regex import dmatch_run, parse_regex
@@ -39,6 +39,7 @@ from effparse.semantics import (
     PARSER_SEMANTICS,
     Invariant,
     MissingInvariantError,
+    PredicateTransformer,
     SemanticsRow,
     Spec,
     in_language,
@@ -302,6 +303,81 @@ def test_wp_reads_a_semantics_row_in_any_order() -> None:
             m = random_reader(rng, rng.randrange(1, 10), row)
             for post in posts:
                 assert wp_stateful(reversed_sem, m, post, state0) == wp_stateful(sem, m, post, state0)
+
+
+def _with_choices(rng: random.Random, m: Computation, row: EffectRow) -> Computation:
+    """``m`` beside a few more branches: a ``choices`` of three, whose
+    choices keep their branches as data, or a ``bind`` over a choice, whose
+    resumption is a queue instead."""
+    other = random_reader(rng, rng.randrange(1, 4), row)
+    roll = rng.randrange(3)
+    if roll == 0:
+        return choices([other, m, symbol_strict(row) if EffectId.PARSER_STRICT in row.effects else pure(UNIT)], row)
+    if roll == 1:
+        return bind(choice(m, other, row), pure)
+    return m
+
+
+def test_wp_takes_a_choices_branches_as_the_fold_would() -> None:
+    """Unlogged computations keep each choice's branches in its resumption,
+    which ``wp`` takes without calling it: the verdict and the postcondition
+    queries, in order, are still the recursive fold's, and the run
+    interpreter still lists the true branch's leaves first."""
+    rng, inv = random.Random(43), toy_invariant()
+    kept = grafted = 0
+    for sem, row, state0 in WP_CASES:
+        posts = STATEFUL_POSTS if state0 is not None else STATEFUL_POSTS[2:]
+        for _ in range(80):
+            m = _with_choices(rng, random_reader(rng, rng.randrange(1, 10), row), row)
+            if isinstance(m, Op) and m.command.kind is CommandKind.CHOICE:
+                if type(m.resume) is core._Branches:
+                    kept += 1
+                else:
+                    grafted += 1
+            for post in posts:
+                new_post, new_asked = _recorded(post)
+                old_post, old_asked = _recorded(post)
+                assert wp_stateful(sem, m, new_post, state0) == reference.wp(sem, m, old_post, state0)
+                assert new_asked == old_asked
+            # Logged resumptions are plain functions, which the interpreter
+            # resumes with TRUE and then FALSE, as it did every choice before.
+            assert results_demonic(m, inv, state0) == results_demonic(_logged(m, []), inv, state0)
+    # The root op is always run, so both kinds of choice were.
+    assert kept > 0 and grafted > 0
+
+
+def test_wp_asks_a_transformer_it_does_not_know() -> None:
+    """Only the library's own branch functions are answered inline; a
+    transformer of the user's, even one for nondeterminism, is asked."""
+    first_only = PredicateTransformer(
+        EffectId.NONDET, True, lambda command, state: ((TRUE, state),) if command.kind is CommandKind.CHOICE else ()
+    )
+    m = choice(pure(Ch("a")), pure(Ch("b")))
+    is_a = lambda v: v == Ch("a")
+    assert wp(SemanticsRow((first_only,)), m, is_a)
+    assert not wp(ALL, m, is_a)
+    assert wp(SemanticsRow((first_only,)), bind(m, pure), is_a)
+    # A library branch function under another quantifier or effect keeps
+    # the transformer's quantifier, and its refusal of foreign commands.
+    angelic = SemanticsRow((PredicateTransformer(EffectId.NONDET, False, pt_all().branches),))
+    assert wp(angelic, m, is_a) and not wp(angelic, fail(), lambda _: True)
+    strict_at_end = PredicateTransformer(EffectId.PARSER_MAYBE, False, pt_parse_strict().branches)
+    assert not wp_stateful(SemanticsRow((pt_all(), strict_at_end)), symbol_maybe(MAYBE_ROW), lambda _v, _s: True, "")
+    misread = PredicateTransformer(EffectId.PARSER_STRICT, True, pt_all().branches)
+    with pytest.raises(RowError, match="cannot interpret symbol"):
+        wp_stateful(SemanticsRow((pt_all(), misread)), symbol_strict(PARSER_ROW), lambda _v, _s: True, "a")
+    rng = random.Random(47)
+    for sem, row, state0 in (
+        (SemanticsRow((first_only, pt_parse_strict())), PARSER_ROW, "ab"),
+        (SemanticsRow((pt_any(), strict_at_end)), MAYBE_ROW, "a"),
+    ):
+        for _ in range(40):
+            m = _with_choices(rng, random_reader(rng, rng.randrange(1, 10), row), row)
+            for post in STATEFUL_POSTS:
+                new_post, new_asked = _recorded(post)
+                old_post, old_asked = _recorded(post)
+                assert wp_stateful(sem, m, new_post, state0) == reference.wp(sem, m, old_post, state0)
+                assert new_asked == old_asked
 
 
 def test_a_resumption_that_returns_no_computation_is_a_type_error() -> None:
