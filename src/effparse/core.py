@@ -345,13 +345,14 @@ _READ_MAYBE = Command(EffectId.PARSER_MAYBE, CommandKind.SYMBOL)
 _READ_STRICT = Command(EffectId.PARSER_STRICT, CommandKind.SYMBOL)
 
 
+def _no_response(_: Value) -> Computation:
+    """The resumption every failure shares; no interpreter calls it."""
+    raise AssertionError("fail has no responses to resume with")
+
+
 def fail(row: EffectRow = NONDET_ROW) -> Op:
     """The computation with no results; its resumption is never reached."""
-
-    def resume(_: Value) -> Computation:
-        raise AssertionError("fail has no responses to resume with")
-
-    return Op(row, _FAIL, resume)
+    return Op(row, _FAIL, _no_response)
 
 
 class _Branches:

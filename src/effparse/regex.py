@@ -27,8 +27,8 @@ Matching proper comes in two flavours:
 
 Regex nodes are hash-consed: building a regex equal to one that exists
 returns that very object, so equality and hashing are identity checks.
-A node keeps its ``nullable`` witness and its derivatives by character,
-which die with it.  No walk over a regex, nor the parser, recurses in
+A node keeps its ``nullable`` witness, its length bounds and its
+derivatives by character, which die with it.  No walk over a regex, nor the parser, recurses in
 Python, so how deep a pattern or a derivative nests is bounded by memory.
 Regexes and parse trees are themselves :class:`~effparse.core.Value`
 subclasses, so recursive calls take the regex and return the tree as
@@ -151,13 +151,14 @@ class Regex(Value):
     from one thread at a time.
 
     A node also holds answers that die with it: its :func:`nullable`
-    witness, made from its fields' when it is built, its tables of
+    witness and the least and greatest lengths it matches, both made from
+    its fields' when it is built, its tables of
     :func:`derivative` and :func:`derivative_step` results by character,
     and its :func:`dmatch` computation, built on first use with a step per
     character read.
     """
 
-    __slots__ = ("__weakref__", "_nullable", "_derived", "_dmatch")
+    __slots__ = ("__weakref__", "_nullable", "_bounds", "_derived", "_dmatch")
 
     def __new__(cls, *fields: object) -> Regex:
         # The fields are characters or interned nodes, so a lookup hashes
@@ -171,6 +172,7 @@ class Regex(Value):
             cls._fill(node, *fields)
             # Past the frozen dataclass's __setattr__.
             object.__setattr__(node, "_nullable", _nullable_of(node))
+            object.__setattr__(node, "_bounds", _length_bounds(node))
             object.__setattr__(node, "_derived", ({}, {}))
             object.__setattr__(node, "_dmatch", None)
             _INTERNED[key] = node
@@ -344,6 +346,24 @@ def _nullable_of(r: Regex) -> ParseTree | None:
     return None
 
 
+def _length_bounds(r: Regex) -> tuple[int, int | None]:
+    """The least and greatest length of a string a node being built matches,
+    from its fields'; ``None`` is unbounded.  Any bounds hold for ``\\0``,
+    and ``(0, 0)`` leaves a concatenation with it one split to try."""
+    if isinstance(r, (Empty, Epsilon)):
+        return 0, 0
+    if isinstance(r, Singleton):
+        return 1, 1
+    if isinstance(r, Star):
+        return 0, (0 if r.body._bounds[1] == 0 else None)
+    assert isinstance(r, (Alt, Cat))
+    (left_lo, left_hi), (right_lo, right_hi) = r.left._bounds, r.right._bounds
+    unbounded = left_hi is None or right_hi is None
+    if isinstance(r, Alt):
+        return min(left_lo, right_lo), None if unbounded else max(left_hi, right_hi)  # type: ignore[type-var]
+    return left_lo + right_lo, None if unbounded else left_hi + right_hi  # type: ignore[operator]
+
+
 EMPTY = Empty()
 EPSILON = Epsilon()
 
@@ -397,22 +417,10 @@ def _fits(r: Regex, t: ParseTree) -> bool:
     return isinstance(t, ListT) and all(_fits(r.body, item) for item in t.items)
 
 
-def _length_bounds(r: Regex, *kids: tuple[int, int | None]) -> tuple[int, int | None]:
-    """The least and greatest length of a string ``r`` matches, from its
-    children's; ``None`` is unbounded.  Any bounds hold for ``\\0``, and
-    ``(0, 0)`` leaves a concatenation with it one split to try."""
-    if isinstance(r, (Empty, Epsilon)):
-        return 0, 0
-    if isinstance(r, Singleton):
-        return 1, 1
-    if isinstance(r, Star):
-        return 0, (0 if kids[0][1] == 0 else None)
-    assert isinstance(r, (Alt, Cat))
-    (left_lo, left_hi), (right_lo, right_hi) = kids
-    unbounded = left_hi is None or right_hi is None
-    if isinstance(r, Alt):
-        return min(left_lo, right_lo), None if unbounded else max(left_hi, right_hi)  # type: ignore[type-var]
-    return left_lo + right_lo, None if unbounded else left_hi + right_hi  # type: ignore[operator]
+def _lengths(q: Regex, lo: int, hi: int) -> range:
+    """The lengths from ``lo`` to ``hi`` within ``q``'s bounds, shortest first."""
+    q_lo, q_hi = q._bounds
+    return range(max(lo, q_lo), (hi if q_hi is None else min(hi, q_hi)) + 1)
 
 
 def enumerate_matches(r: Regex, s: str) -> tuple[ParseTree, ...]:
@@ -429,19 +437,11 @@ def enumerate_matches(r: Regex, s: str) -> tuple[ParseTree, ...]:
     then heads by how much they consume.
 
     A desk-scale oracle: it recurses once per regex level and per
-    iteration, and its tables last for one call.
+    iteration, and its table lasts for one call.
     """
-    bounds = _fold(r, _length_bounds)
-
-    def lengths(q: Regex, lo: int, hi: int) -> range:
-        """The lengths from ``lo`` to ``hi`` within ``q``'s bounds, shortest first."""
-        q_lo, q_hi = bounds[q]
-        return range(max(lo, q_lo), (hi if q_hi is None else min(hi, q_hi)) + 1)
-
-    # The tables, keyed by (regex, string); plain dicts, as cache wrappers
-    # cost more to build for each call than the lookups they serve.
+    # The table, keyed by (regex, string); a plain dict, as a cache wrapper
+    # costs more to build for each call than the lookups it serves.
     trees: dict[tuple[Regex, str], tuple[ParseTree, ...]] = {}
-    lists: dict[tuple[Regex, str], tuple[ListT, ...]] = {}
 
     def enum(r: Regex, s: str) -> tuple[ParseTree, ...]:
         key = (r, s)
@@ -458,33 +458,24 @@ def enumerate_matches(r: Regex, s: str) -> tuple[ParseTree, ...]:
         elif isinstance(r, Alt):
             out = tuple(LeftT(t) for t in enum(r.left, s)) + tuple(RightT(t) for t in enum(r.right, s))
         elif isinstance(r, Cat):
-            n, (right_lo, right_hi) = len(s), bounds[r.right]
+            n, (right_lo, right_hi) = len(s), r.right._bounds
             out = tuple(
                 PairT(tl, tr)
-                for i in lengths(r.left, 0 if right_hi is None else n - right_hi, n - right_lo)
+                for i in _lengths(r.left, 0 if right_hi is None else n - right_hi, n - right_lo)
                 for tl in enum(r.left, s[:i])
                 for tr in enum(r.right, s[i:])
             )
         else:
             assert isinstance(r, Star)
-            out = enum_star(r.body, s)
+            # The rest of the list comes from this node's own entries.
+            witnesses = [ListT(())] if s == "" else []
+            for i in _lengths(r.body, 1, len(s)):
+                for head in enum(r.body, s[:i]):
+                    for rest in enum(r, s[i:]):
+                        witnesses.append(ListT((head,) + rest.items))  # type: ignore[attr-defined]
+            out = tuple(witnesses)
         trees[key] = out
         return out
-
-    def enum_star(q: Regex, s: str) -> tuple[ListT, ...]:
-        key = (q, s)
-        found = lists.get(key)
-        if found is not None:
-            return found
-        out: list[ListT] = []
-        if s == "":
-            out.append(ListT(()))
-        for i in lengths(q, 1, len(s)):
-            for head in enum(q, s[:i]):
-                for rest in enum_star(q, s[i:]):
-                    out.append(ListT((head,) + rest.items))
-        lists[key] = found = tuple(out)
-        return found
 
     return enum(r, s)
 

@@ -28,7 +28,7 @@ and reads of the library's own transformers (:func:`pt_all`,
 run interpreter does, taking a choice's branches as data, and asks any
 other transformer for its branches.  A command with one way on (an
 optional read, a strict read with input left, a call with one output) is
-followed straight on, and only a command with ways left to try keeps a
+followed straight on, and each way left to try after the first keeps one
 frame on an explicit stack, so neither recurses once per command on the
 Python stack.
 """
@@ -99,7 +99,7 @@ class PredicateTransformer:
     """Meaning of one effect's commands as a weakest-precondition rule.
 
     ``branches(command, state)`` returns a sequence, which the fold
-    indexes, of the responses the command may get, each with the parser
+    slices, of the responses the command may get, each with the parser
     state after it; ``demonic`` says how they are quantified: the
     postcondition must hold on every branch (``True``) or on some branch
     (``False``).  :meth:`transform` is the rule this gives; it is monotone
@@ -253,15 +253,15 @@ def _wp(row: SemanticsRow, m: Computation, post: Callable, state: str | None, un
     otherwise), a failure has its quantifier's unit, and a read answers
     from ``state``.  Any other transformer is asked for its ``branches``,
     whose children are its resumption at each.  An op with one way on has
-    that way's verdict, so the loop goes straight on into it; only an op
-    with ways left to try gets a frame.  So depth is bounded by memory,
-    not the Python stack.  ``post`` takes the leaf value alone when
-    ``unary``, and the value with the state otherwise.
+    that way's verdict, so the loop goes straight on into it; an op with
+    more gets a frame for each way after its first.  So depth is bounded
+    by memory, not the Python stack.  ``post`` takes the leaf value alone
+    when ``unary``, and the value with the state otherwise.
     """
     transformers = row.transformers
-    # One frame per op with ways left: its quantifier, then a choice's
-    # ``(None, right, state)``, a grafted choice's ``(resume, None,
-    # state)``, or ``(resume, branches, index of the next one)``.
+    # One frame per way left to try: ``(demonic, resume, way, state)``, its
+    # op's quantifier, then ``resume`` to call on ``way`` with ``state`` or,
+    # when ``resume`` is None, a choice's right branch as ``way``.
     stack: list[tuple] = []
     while True:
         if type(m) is Pure:
@@ -284,7 +284,7 @@ def _wp(row: SemanticsRow, m: Computation, post: Callable, state: str | None, un
                     stack.append((pt.demonic, None, resume.right, state))
                     m = resume.left
                 else:
-                    stack.append((pt.demonic, resume, None, state))
+                    stack.append((pt.demonic, resume, FALSE, state))
                     m = resume(TRUE)
                 continue
             if (answer is _strict_branches or answer is _maybe_branches) and kind is _KIND_SYMBOL:
@@ -304,28 +304,22 @@ def _wp(row: SemanticsRow, m: Computation, post: Callable, state: str | None, un
             else:
                 branches = answer(command, state)
                 if branches:
+                    resume = m.resume
+                    for response, after in reversed(branches[1:]):
+                        stack.append((pt.demonic, resume, response, after))
                     response, state = branches[0]
-                    if len(branches) > 1:
-                        stack.append((pt.demonic, m.resume, branches, 1))
-                    m = m.resume(response)
+                    m = resume(response)
                     continue
                 # No branch: the op holds exactly when it is demonic, as all(())
                 # and any(()) do.
                 verdict = pt.demonic
-        # Hand the verdict up to the nearest op it does not settle, and
-        # go on into that op's next way.
+        # Hand the verdict up to the nearest op it does not settle, and go
+        # on into that op's next way.  The frames of a settled op carry its
+        # quantifier too, so they are passed over without being resumed.
         while stack:
-            demonic, resume, rest, at = stack.pop()
+            demonic, resume, way, at = stack.pop()
             if verdict == demonic:
-                if resume is None:
-                    m, state = rest, at
-                elif rest is None:
-                    m, state = resume(FALSE), at
-                else:
-                    response, state = rest[at]
-                    if at + 1 < len(rest):
-                        stack.append((demonic, resume, rest, at + 1))
-                    m = resume(response)
+                m, state = (way if resume is None else resume(way)), at
                 break
         else:
             return verdict
