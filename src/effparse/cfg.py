@@ -119,9 +119,13 @@ class CyclicGrammarError(GrammarError):
     """The left-recursion link graph has a cycle, so derivations are unbounded."""
 
     def __init__(self, cycle: tuple["Nonterminal", ...]) -> None:
-        path = " -> ".join(nt.name for nt in cycle)
-        super().__init__(f"unbounded derivations: left-recursion cycle {path}")
+        super().__init__(f"unbounded derivations: left-recursion cycle {_cycle_text(cycle)}")
         self.cycle = cycle
+
+
+def _cycle_text(cycle: tuple["Nonterminal", ...]) -> str:
+    """A left-recursion cycle as ``A -> B -> A``."""
+    return " -> ".join(nt.name for nt in cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +301,7 @@ _read = partial(Op, CFG_ROW, _READ_STRICT)
 _read_end = partial(Op, _END_ROW, _READ_MAYBE)
 
 
-def build_parser(
-    g: Grammar,
-    rhs: tuple[GSymbol, ...],
-    last: Production,
-    follow: str | None = None,
-) -> Computation:
+def build_parser(rhs: tuple[GSymbol, ...], last: Production, follow: str | None = None) -> Computation:
     """Walk a right-hand side of ``last``, delivering ``last``'s derivation node.
 
     Terminals are consumed and contribute nothing; each nonterminal is a
@@ -369,11 +368,11 @@ def from_prods(g: Grammar, a: Nonterminal, follow: str | None = None) -> Computa
         alternatives: list[Computation] = []
         for led, run in groupby(filter_lhs(g, a), lambda p: bool(p.rhs) and isinstance(p.rhs[0], Term)):
             if not led:
-                alternatives.extend(build_parser(g, p.rhs, p, follow) for p in run)
+                alternatives.extend(build_parser(p.rhs, p, follow) for p in run)
                 continue
             rests: dict[str, list[Computation]] = {}
             for p in run:
-                rests.setdefault(p.rhs[0].char, []).append(build_parser(g, p.rhs[1:], p, follow))
+                rests.setdefault(p.rhs[0].char, []).append(build_parser(p.rhs[1:], p, follow))
             table = {c: choices(ms, CFG_ROW) for c, ms in rests.items()}
             alternatives.append(_read(lambda response, table=table: table.get(response.char, _DEAD)))
         body = bodies[a.name, follow] = choices(alternatives, CFG_ROW)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 __all__ = [
     "Bool",
@@ -397,19 +397,25 @@ def choice(left: Computation, right: Computation, row: EffectRow | None = None) 
     return Op(row, _CHOICE, _Branches(left, right))
 
 
+_T = TypeVar("_T")
+
+
+def _right_nested(node: Callable[[_T, _T], _T], items: Sequence[_T]) -> _T:
+    """``items`` joined from the right by ``node``: ``a|(b|c)``."""
+    result = items[-1]
+    for item in reversed(items[:-1]):
+        result = node(item, result)
+    return result
+
+
 def choices(branches: Sequence[Computation] | Iterable[Computation], row: EffectRow = NONDET_ROW) -> Computation:
-    """Fold a sequence of alternatives into nested binary choices.
+    """Alternatives as right-nested binary choices (:func:`_right_nested`).
 
     The empty sequence is ``fail``; order of results is preserved
     (first branch's results first).
     """
     branches = list(branches)
-    if not branches:
-        return fail(row)
-    result = branches[-1]
-    for branch in reversed(branches[:-1]):
-        result = choice(branch, result, row)
-    return result
+    return _right_nested(lambda left, right: choice(left, right, row), branches) if branches else fail(row)
 
 
 def symbol_maybe(row: EffectRow) -> Op:

@@ -43,7 +43,7 @@ Parse trees render as s-expressions or JSON with :func:`format_tree`.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -58,6 +58,7 @@ from .core import (
     TRUE,
     FALSE,
     Value,
+    _right_nested,
     bind,
     call,
     choice,
@@ -146,9 +147,10 @@ class Regex(Value):
 
     Nodes are hash-consed: constructing a node equal to one that exists
     returns the existing one, so ``==`` and ``hash`` are identity-based and
-    cost O(1) however deep the regex.  Constructors take their fields
-    positionally.  The interning table is not locked, so regexes are built
-    from one thread at a time.
+    cost O(1) however deep the regex.  Each node class is declared with
+    :func:`_interned` alone, which makes it a frozen dataclass whose
+    constructor takes its fields positionally.  The interning table is not
+    locked, so regexes are built from one thread at a time.
 
     A node also holds answers that die with it: its :func:`nullable`
     witness and the least and greatest lengths it matches, both made from
@@ -190,28 +192,27 @@ _INTERNED: weakref.WeakValueDictionary[tuple, Regex] = weakref.WeakValueDictiona
 
 
 def _interned(cls: type) -> type:
-    """Run a node class's dataclass ``__init__`` (which sets the fields and
-    validates them) inside :meth:`Regex.__new__`, once per node, instead of
-    on every construction."""
+    """Make a node class a frozen, slotted dataclass compared by identity,
+    and run its ``__init__`` (which sets the fields and validates them)
+    inside :meth:`Regex.__new__`, once per node, instead of on every
+    construction."""
+    cls = dataclass(frozen=True, eq=False, slots=True)(cls)
     cls._fill = cls.__init__  # type: ignore[attr-defined]
     del cls.__init__  # type: ignore[misc]
     return cls
 
 
 @_interned
-@dataclass(frozen=True, eq=False, slots=True)
 class Empty(Regex):
     """Matches nothing at all."""
 
 
 @_interned
-@dataclass(frozen=True, eq=False, slots=True)
 class Epsilon(Regex):
     """Matches exactly the empty string."""
 
 
 @_interned
-@dataclass(frozen=True, eq=False, slots=True)
 class Singleton(Regex):
     """Matches exactly one given character."""
 
@@ -223,21 +224,18 @@ class Singleton(Regex):
 
 
 @_interned
-@dataclass(frozen=True, eq=False, slots=True)
 class Alt(Regex):
     left: Regex
     right: Regex
 
 
 @_interned
-@dataclass(frozen=True, eq=False, slots=True)
 class Cat(Regex):
     left: Regex
     right: Regex
 
 
 @_interned
-@dataclass(frozen=True, eq=False, slots=True)
 class Star(Regex):
     body: Regex
 
@@ -894,14 +892,6 @@ def dmatch_run(r: Regex, s: str) -> tuple[ParseTree, ...]:
 _METACHARS = "|*()\\"
 _ESCAPES = {"0": EMPTY, "e": EPSILON}
 _LEAF_TEXT = {EMPTY: "\\0", EPSILON: "\\e"}
-
-
-def _right_nested(node: Callable[[Regex, Regex], Regex], items: Sequence[Regex]) -> Regex:
-    """``items`` joined from the right by ``node``: ``a|(b|c)``."""
-    result = items[-1]
-    for item in reversed(items[:-1]):
-        result = node(item, result)
-    return result
 
 
 def parse_regex(pattern: str) -> Regex:

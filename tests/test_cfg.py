@@ -147,7 +147,7 @@ def test_filter_lhs_keeps_grammar_order() -> None:
 
 def test_build_parser_calls_for_nonterminals() -> None:
     g, _, _ = load(G_RIGHT_REC)
-    m = build_parser(g, (Term("a"), E), g.productions[0])
+    m = build_parser((Term("a"), E), g.productions[0])
     assert isinstance(m, Op)
     assert m.command.kind is CommandKind.SYMBOL
     # Consuming 'a' leaves a recursive call for E.
@@ -200,6 +200,14 @@ def test_spec_produce_rejects_cyclic_grammars() -> None:
     with pytest.raises(CyclicGrammarError) as info:
         spec_produce(g, start, "1")
     assert info.value.cycle == (E, E)
+
+
+def test_spec_produce_raises_past_the_proven_depth(monkeypatch) -> None:
+    # A cap the derivation outgrows means the bound's proof is broken.
+    monkeypatch.setattr(cfg, "_proven_fuel", lambda _g, _length: 1)
+    g = grammar_from_text("S -> 'a' S |\n")
+    with pytest.raises(RuntimeError, match="derivation depth exceeded the proven bound"):
+        spec_produce(g, S, "a")
 
 
 # ---------------------------------------------------------------------------

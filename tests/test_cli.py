@@ -295,3 +295,17 @@ def test_run_as_a_module_writes_only_its_own_stderr() -> None:
         env=env, capture_output=True, timeout=60, check=False,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, b"(char a)\n", b"")
+
+
+def test_importing_the_package_leaves_the_cli_for_first_use() -> None:
+    """``import effparse`` loads neither ``effparse.cli`` nor argparse;
+    ``effparse.cli`` loads when it is first named."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    script = (
+        "import sys, effparse\n"
+        "print(sorted({'argparse', 'effparse.cli'} & set(sys.modules)))\n"
+        "print(effparse.cli.main.__module__)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"[]\neffparse.cli\n", b"")

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from effparse import regex
+from effparse.cli import main
 from effparse.core import EffectId, Op, SplitV, Str
-from effparse.handlers import Done, TerminationInvariantError, run_with_fuel
+from effparse.handlers import EXHAUSTED, Done, TerminationInvariantError, run_with_fuel
 from effparse.regex import (
     DMATCH_ROW,
     EMPTY,
@@ -390,6 +392,17 @@ def test_dmatch_fuel_below_length_can_run_dry() -> None:
     assert not isinstance(outcome, Done)
     # The guard dmatch_run would raise on a dry run is a loud runtime error.
     assert issubclass(TerminationInvariantError, RuntimeError)
+
+
+def test_dmatch_run_raises_when_its_proven_budget_runs_dry(monkeypatch, capsys) -> None:
+    monkeypatch.setattr(regex, "run_with_fuel", lambda *_args: EXHAUSTED)
+    message = "derivative matching ran out of fuel on a 1-character input"
+    with pytest.raises(TerminationInvariantError) as info:
+        dmatch_run(A, "a")
+    assert str(info.value) == message
+    # The command line reports the broken invariant as exit 3.
+    assert main(["match", "a", "a"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_dmatch_refines_match_on_samples() -> None:

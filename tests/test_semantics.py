@@ -161,6 +161,14 @@ def test_parser_transformers_need_a_state() -> None:
         wp(PARSER_SEMANTICS, symbol_strict(PARSER_ROW), lambda _: True)
 
 
+def test_parser_transformers_asked_for_branches_need_a_state() -> None:
+    # wp answers reads itself, so only a transformer asked directly sees one
+    # without a state.
+    for pt, m in ((pt_parse_strict(), symbol_strict(PARSER_ROW)), (pt_parser_maybe(), symbol_maybe(MAYBE_ROW))):
+        with pytest.raises(ValueError, match="symbol read without a parser state"):
+            pt.branches(m.command, None)
+
+
 # ---------------------------------------------------------------------------
 # The sequencing law and the result characterization
 # ---------------------------------------------------------------------------

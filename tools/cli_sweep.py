@@ -5,11 +5,11 @@
 
 ``A`` and ``B`` are checkout roots.  A fixed list of invocations covers
 ``match`` (both engines, ``--fuel`` none/0/3, ``json-lines``,
-``--max-results 1``), ``derive``, usage errors, and ``cfg-check`` and
-``cfg-parse`` (``--fuel`` none/0/2/5/40) on the expression, Dyck and
-palindrome grammars, a grammar whose proven budget falls short, a cyclic
-one and a malformed one, each also with an undefined and an empty start
-symbol; one grammar per syntax error message and one that uses an
+``--max-results 1``), ``derive``, usage errors, every command's
+``--help``, and ``cfg-check`` and ``cfg-parse`` (``--fuel``
+none/0/2/5/40) on the expression, Dyck and palindrome grammars, a grammar
+whose proven budget falls short, a cyclic one and a malformed one, each
+also with an undefined and an empty start symbol; one grammar per syntax error message and one that uses an
 undefined nonterminal; one that is not UTF-8, and a missing file.  Listings
 that ``--max-results`` truncates come from ambiguous patterns on the
 structural engine and from a grammar with 2**n parses of ``a`` * n.  The
@@ -138,9 +138,13 @@ def invocations(directory: Path) -> list[list[str]]:
         ["match", "a", "a", "--format", "xml"],
         ["match", "a\\", "a"],
         ["derive", "a"],
+        ["derive", "--help"],
         ["cfg-check"],
+        ["cfg-check", "--help"],
+        ["cfg-parse", "--help"],
         ["cfg-parse", missing, "E"],
         ["cfg-parse", missing, "E", "x", "--max-results", "-1"],
+        ["cfg-parse", missing, "E", "x", "--format", "xml"],
     ]
     return argvs
 
