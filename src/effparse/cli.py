@@ -31,7 +31,7 @@ from .cfg import (
 from .handlers import Done, Exhausted, TerminationInvariantError, run_with_fuel
 from .regex import (
     RegexSyntaxError,
-    derivative,
+    derivatives,
     dmatch_run,
     format_regex,
     format_tree,
@@ -96,8 +96,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
     """
     r = parse_regex(args.pattern)
     print(format_regex(r))
-    for c in args.input:
-        r = derivative(r, c)
+    for r in derivatives(r, args.input):
         print(format_regex(r))
     print(f"nullable: {'yes' if nullable(r) is not None else 'no'}")
     return 0

@@ -28,11 +28,13 @@ Matching proper comes in two flavours:
 Regex nodes are hash-consed: building a regex equal to one that exists
 returns that very object, so equality and hashing are identity checks.
 A node keeps its ``nullable`` witness, its length bounds and its
-derivatives by character, which die with it.  No walk over a regex, nor the parser, recurses in
-Python, so how deep a pattern or a derivative nests is bounded by memory.
-Regexes and parse trees are themselves :class:`~effparse.core.Value`
-subclasses, so recursive calls take the regex and return the tree as
-they are.
+:func:`dmatch` steps, which hold its simplified derivatives and die with
+it; the paper's derivatives are kept for one call, or for one
+:func:`derivatives` chain.  No walk over a regex, nor the parser,
+recurses in Python, so how deep a pattern or a derivative nests is
+bounded by memory.  Regexes and parse trees are themselves
+:class:`~effparse.core.Value` subclasses, so recursive calls take the
+regex and return the tree as they are.
 
 The concrete regex syntax, read and written by :func:`parse_regex` and
 :func:`format_regex`, serves the command line and the tests only; it
@@ -43,7 +45,8 @@ Parse trees render as s-expressions or JSON with :func:`format_tree`.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable
+from collections import defaultdict
+from collections.abc import Callable, Iterator, MutableMapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -104,6 +107,7 @@ __all__ = [
     "decode_match_input",
     "derivative",
     "derivative_step",
+    "derivatives",
     "dmatch",
     "dmatch_fn",
     "dmatch_handled",
@@ -154,19 +158,23 @@ class Regex(Value):
 
     A node also holds answers that die with it: its :func:`nullable`
     witness and the least and greatest lengths it matches, both made from
-    its fields' when it is built, its tables of
-    :func:`derivative` and :func:`derivative_step` results by character,
-    and its :func:`dmatch` computation, built on first use with a step per
-    character read.
+    its fields' when it is built, and its :func:`dmatch` computation, built
+    on first use, whose steps by character read are its one table.  Each
+    step holds the node's :func:`derivative_step` by that character, and
+    by Brzozowski's theorem a pattern reaches finitely many of those.  No
+    node keeps the paper's unsimplified derivatives: :func:`derivative`
+    and :func:`integral_tree` fold them into a table that lasts one call,
+    and :func:`derivatives` into a table per character that lasts one
+    chain.
     """
 
-    __slots__ = ("__weakref__", "_nullable", "_bounds", "_derived", "_dmatch")
+    __slots__ = ("__weakref__", "_nullable", "_bounds", "_dmatch")
 
     def __new__(cls, *fields: object) -> Regex:
         # The fields are characters or interned nodes, so a lookup hashes
         # one level.  Nodes enter the key by identity, unique while they
-        # live, so the table holds none, and a node that only its own tables
-        # hold (``a*`` is its own step by ``a``) dies in one collection.
+        # live, so the table holds none, and a node that only its own dmatch
+        # steps hold (``a*`` is its own step by ``a``) dies in one collection.
         key = (cls, *fields) if cls is Singleton else (cls, *map(id, fields))
         node = _INTERNED.get(key)
         if node is None:
@@ -175,7 +183,6 @@ class Regex(Value):
             # Past the frozen dataclass's __setattr__.
             object.__setattr__(node, "_nullable", _nullable_of(node))
             object.__setattr__(node, "_bounds", _length_bounds(node))
-            object.__setattr__(node, "_derived", ({}, {}))
             object.__setattr__(node, "_dmatch", None)
             _INTERNED[key] = node
         return node
@@ -240,7 +247,7 @@ class Star(Regex):
     body: Regex
 
 
-#: A table entry: a derivative and its rectifier, which :func:`_rectify` runs.
+#: A derivative and its rectifier, which :func:`_rectify` runs.
 _Entry = tuple[Regex, tuple]
 
 
@@ -254,12 +261,14 @@ def _fold(
     root: Regex,
     combine: Callable[..., Any],
     children: Callable[[Regex], tuple[Regex, ...]] = _children,
-    known: Callable[[Regex], Any] = lambda _node: None,
-) -> dict[Regex, Any]:
+    answers: MutableMapping[Regex, Any] | None = None,
+) -> MutableMapping[Regex, Any]:
     """``combine(node, *answers for children(node))`` by node, once each, for
-    ``root`` and the nodes below it down to those ``known`` answers (not
-    ``None``).  Pending nodes wait on a stack, so depth costs only memory."""
-    answers: dict[Regex, Any] = {}
+    ``root`` and the nodes below it, into ``answers`` (by default a new
+    dict), which lasts as long as its caller keeps it; nodes it already
+    answers are not folded again.  Pending nodes wait on a stack, so depth
+    costs only memory."""
+    answers = {} if answers is None else answers
     # Nodes to answer, and nodes paired with their children once these are.
     todo: list[Any] = [root]
     while todo:
@@ -268,12 +277,8 @@ def _fold(
             node, kids = node
             answers[node] = combine(node, *[answers[kid] for kid in kids])
         elif node not in answers:
-            answer = known(node)
-            if answer is None:
-                kids = children(node)
-                todo += [(node, kids), *kids]
-            else:
-                answers[node] = answer
+            kids = children(node)
+            todo += [(node, kids), *kids]
     return answers
 
 
@@ -622,8 +627,28 @@ def nullable(r: Regex) -> ParseTree | None:
 
 
 def derivative(r: Regex, c: str) -> Regex:
-    """The residual regex after consuming the character ``c``."""
+    """The residual regex after consuming the character ``c``.
+
+    The derivatives of ``r``'s nodes go into a table that lasts this call,
+    so a chain of calls folds each derivative whole; :func:`derivatives`
+    shares them along the chain.
+    """
     return _derive(r, c, False)[0]
+
+
+def derivatives(r: Regex, s: str) -> Iterator[Regex]:
+    """The chain of :func:`derivative` along ``s``: ``r``'s by ``s[0]``, that
+    one's by ``s[1]``, and so on, one per character.
+
+    The chain keeps a table per character while it runs, so each step folds
+    only the nodes no earlier step by that character has.  The tables hold
+    their nodes weakly, so a node the chain has left behind takes its
+    entries with it.
+    """
+    tables: defaultdict[str, weakref.WeakKeyDictionary[Regex, _Entry]] = defaultdict(weakref.WeakKeyDictionary)
+    for c in s:
+        r = _derive(r, c, False, tables[c])[0]
+        yield r
 
 
 def integral_tree(r: Regex, c: str, t: ParseTree) -> ParseTree:
@@ -631,7 +656,8 @@ def integral_tree(r: Regex, c: str, t: ParseTree) -> ParseTree:
 
     ``t`` must witness a match of ``derivative(r, c)``; the result then
     witnesses the match of ``r`` on the string with ``c`` put back in
-    front.  A tree of the wrong shape raises :class:`TreeShapeError`.
+    front.  A tree of the wrong shape raises :class:`TreeShapeError`.  As in
+    :func:`derivative`, the derivatives it folds last this call.
     """
     return _rectify(_derive(r, c, False)[1], t)
 
@@ -649,21 +675,17 @@ def derivative_step(r: Regex, c: str) -> tuple[Regex, Callable[[Value], ParseTre
     witness of ``r`` on ``c + xs``: the integral of the witness of
     ``derivative(r, c)`` it stands for (Sulzmann & Lu, FLOPS 2014), made
     in one pass.  A value that is not a tree of the right shape raises
-    :class:`TreeShapeError`.
+    :class:`TreeShapeError`.  The derivatives it folds last this call;
+    :func:`dmatch` keeps the steps it takes.
     """
     d, fix = _derive(r, c, True)
     return d, lambda t: _rectify(fix, _tree_of(t))
 
 
-def _derive(r: Regex, c: str, simplify: bool) -> _Entry:
-    """``r``'s table entry for ``c``: its derivative, simplified or not, and the
-    rectifier.  Missing entries of the nodes it is made from come first."""
-
-    def combine(node: Regex, *kids: _Entry) -> _Entry:
-        node._derived[simplify][c] = entry = _derivative_of(node, c, simplify, kids)
-        return entry
-
-    return _fold(r, combine, _needed, lambda node: node._derived[simplify].get(c))[r]
+def _derive(r: Regex, c: str, simplify: bool, answers: MutableMapping[Regex, _Entry] | None = None) -> _Entry:
+    """``r``'s derivative by ``c``, simplified or not, and its rectifier, by
+    :func:`_fold` into ``answers`` with the nodes it is made from."""
+    return _fold(r, lambda node, *kids: _derivative_of(node, c, simplify, kids), _needed, answers)[r]
 
 
 def _needed(r: Regex) -> tuple[Regex, ...]:

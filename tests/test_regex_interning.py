@@ -5,11 +5,26 @@ from __future__ import annotations
 import copy
 import gc
 import pickle
+import random
 import sys
 
 import pytest
 
-from effparse.regex import _INTERNED, EPSILON, Alt, Cat, Singleton, Star, dmatch_run, parse_regex
+from effparse.regex import (
+    _INTERNED,
+    EPSILON,
+    Alt,
+    Cat,
+    Singleton,
+    Star,
+    derivative,
+    derivative_step,
+    derivatives,
+    dmatch_run,
+    integral_tree,
+    nullable,
+    parse_regex,
+)
 
 A, B = Singleton("a"), Singleton("b")
 
@@ -44,10 +59,10 @@ def test_dropped_regexes_leave_the_table() -> None:
     assert len(_INTERNED) == before
 
 
-
 def test_matched_regexes_leave_the_table_with_their_derivatives() -> None:
-    # Derivatives live in tables on their nodes, and the table holds nodes
-    # weakly, so matching keeps nothing alive once its patterns are dropped.
+    # A node's dmatch steps hold its simplified derivatives, and the table
+    # holds nodes weakly, so matching keeps nothing alive once its patterns
+    # are dropped.
     gc.collect()
     before = len(_INTERNED)
     chars = [chr(0x4E00 + i) for i in range(200)]
@@ -58,6 +73,36 @@ def test_matched_regexes_leave_the_table_with_their_derivatives() -> None:
     del patterns, r
     gc.collect()
     assert len(_INTERNED) == before
+
+
+def test_deriving_a_kept_pattern_keeps_no_derivatives() -> None:
+    # No node keeps the derivatives folded from it: derivative,
+    # integral_tree and derivative_step keep theirs for one call, and
+    # derivatives for one chain.  So however many strings a live pattern is
+    # derived along, a collection takes the table back to where it was.
+    r = parse_regex("(a|b)* a (a|b)")
+    rng = random.Random(23)
+    gc.collect()
+    before = len(_INTERNED)
+    for _ in range(25):
+        s = "".join(rng.choice("ab") for _ in range(12)) + "a" + rng.choice("ab")
+        chain = [r, *derivatives(r, s)]
+        witness = nullable(chain[-1])
+        assert witness is not None
+        for d, c in zip(reversed(chain[:-1]), reversed(s)):
+            witness = integral_tree(d, c, witness)
+        d = r
+        for c in s:
+            d = derivative(d, c)
+        assert d is chain[-1]
+        d = r
+        for c in s:
+            d, _rectify = derivative_step(d, c)
+        assert len(_INTERNED) > before
+        del chain, d, _rectify
+        gc.collect()
+        assert len(_INTERNED) == before
+
 
 def test_deep_regexes_hash_and_compare_at_the_default_limit() -> None:
     def right_nested(depth: int) -> Cat:

@@ -30,6 +30,7 @@ from effparse.regex import (
     decode_match_input,
     derivative,
     derivative_step,
+    derivatives,
     dmatch,
     dmatch_fn,
     dmatch_handled,
@@ -52,6 +53,7 @@ from helpers import regexes_up_to, strings_up_to
 
 A, B = Singleton("a"), Singleton("b")
 INV = match_spec_invariant()
+BENCH_PATTERNS = ("(a|b)*", "(a|b)* a (a|b)(a|b)", "a*", "(a b)* (a|\\e)")
 
 
 def match_trees(r, s):
@@ -210,6 +212,37 @@ def test_integral_tree_rejects_misshapen_witnesses() -> None:
         integral_tree(Star(A), "a", PairT(UNIT_TREE, CharT("a")))
 
 
+def derivative_loop(r, s):
+    """The derivatives of ``r`` along ``s``, one :func:`derivative` call each."""
+    chain = []
+    for c in s:
+        r = derivative(r, c)
+        chain.append(r)
+    return chain
+
+
+def assert_same_nodes(left, right) -> None:
+    assert len(left) == len(right)
+    assert all(x is y for x, y in zip(left, right))
+
+
+def test_derivatives_is_the_derivative_loop_on_the_desk_scale_universe() -> None:
+    for r in regexes_up_to(4):
+        for s in strings_up_to(3):
+            assert_same_nodes(list(derivatives(r, s)), derivative_loop(r, s))
+
+
+@pytest.mark.parametrize("pattern", BENCH_PATTERNS)
+def test_derivatives_is_the_derivative_loop_on_the_bench_patterns(pattern: str) -> None:
+    r = parse_regex(pattern)
+    s = "".join(random.Random(pattern).choice("ab") for _ in range(256))
+    assert_same_nodes(list(derivatives(r, s)), derivative_loop(r, s))
+
+
+def test_derivatives_of_the_empty_string_are_none() -> None:
+    assert list(derivatives(Star(A), "")) == []
+
+
 def test_derivative_round_trip_law() -> None:
     # Witnesses of the derivative integrate to witnesses of the original.
     for r in regexes_up_to(3):
@@ -259,9 +292,6 @@ def test_derivative_step_rectifies_to_the_integral() -> None:
                 for t in witnesses:
                     assert is_match(r, x + xs, rectify(t))
                     assert rectify(t) in integrals
-
-
-BENCH_PATTERNS = ("(a|b)*", "(a|b)* a (a|b)(a|b)", "a*", "(a b)* (a|\\e)")
 
 
 @pytest.mark.parametrize(
