@@ -66,7 +66,7 @@ from effparse.regex import (
     Star,
     UNIT_TREE,
     UnitT,
-    derivative,
+    derivatives,
     integral_tree,
     nullable,
 )
@@ -154,9 +154,7 @@ def enumerate_matches(r: Regex, s: str, max_empty_iterations: int = 0) -> tuple[
 
 def dmatch_unsimplified(r: Regex, s: str) -> tuple[ParseTree, ...]:
     """The derivative matcher's witness, from the paper's derivatives."""
-    chain = [r]
-    for c in s:
-        chain.append(derivative(chain[-1], c))
+    chain = [r, *derivatives(r, s)]
     witness = nullable(chain[-1])
     if witness is None:
         return ()

@@ -2,34 +2,26 @@
 
 from __future__ import annotations
 
-import subprocess
-import sys
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-
-def _counts() -> subprocess.CompletedProcess:
-    # The requests on 16 characters: about a second a run.
-    command = [sys.executable, "tools/work_counts.py", str(ROOT), str(ROOT), "--max-size", "16"]
-    return subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=120)
+_SPEC = importlib.util.spec_from_file_location("work_counts", ROOT / "tools" / "work_counts.py")
+work_counts = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(work_counts)
 
 
 def test_two_runs_on_one_checkout_agree_exactly() -> None:
-    first, second = _counts(), _counts()
-    for done in (first, second):
-        assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
-    assert first.stdout == second.stdout
-    lines = first.stdout.splitlines()
-    rows = [line.split() for line in lines[2:] if not line.startswith("geometric mean")]
-    assert {" ".join(row[:-3]) for row in rows} >= {
+    # The requests on 16 characters: about a second a run.
+    named = [request for request in work_counts.requests(ROOT) if len(request[1][2]) <= 16]
+    assert {name for name, _argv, _held in named} >= {
         "match ab_star 16 member held",
         "match third_last_a 16 spoiled held",
         "derive a_star 16 cold",
         "match ab_pairs 16 cold",
     }
-    for *_name, a, b, ratio in rows:
-        assert a == b and int(a.replace(",", "")) > 10_000 and ratio == "1.000"
-    assert [line.split(":")[0] for line in lines if line.startswith("geometric mean")] == [
-        f"geometric mean B/A, {kind}" for kind in ("match held", "derive cold", "match cold")
-    ]
+    batch = [(argv, held) for _name, argv, held in named]
+    first, second = work_counts.counts(ROOT, batch), work_counts.counts(ROOT, batch)
+    assert first == second
+    assert len(first) == len(batch) and min(first) > 10_000

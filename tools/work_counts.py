@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Executed-bytecode counts of fixed requests on two checkouts.
 
-    python3 tools/work_counts.py A B [--max-size N]
+    python3 tools/work_counts.py A B
 
 ``A`` and ``B`` are checkout roots.  Wall time on a shared machine is
 noisy; the number of bytecodes a request executes is not, so it shows a
@@ -91,7 +91,7 @@ _COLD_SIZES = (16, 256)
 _SEED = 1
 
 
-def requests(root: Path, max_size: int) -> list[tuple[str, list[str], str | None]]:
+def requests(root: Path) -> list[tuple[str, list[str], str | None]]:
     """Name, argv and held pattern (or ``None``) of each request, from the
     bench of the checkout at ``root``."""
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
@@ -110,7 +110,7 @@ def requests(root: Path, max_size: int) -> list[tuple[str, list[str], str | None
             text = pattern.member(random.Random(f"{_SEED}:{case}:{n}"), n)
             for command in ("derive", "match"):
                 out.append((f"{command} {case} {n} cold", [command, pattern.text, text], None))
-    return [request for request in out if len(request[1][2]) <= max_size]
+    return out
 
 
 def counts(root: Path, batch: list[tuple[list[str], str | None]]) -> list[int]:
@@ -127,10 +127,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", type=Path, help="checkout root of side A (the base)")
     parser.add_argument("b", type=Path, help="checkout root of side B (the change)")
-    parser.add_argument("--max-size", type=int, default=256, help="skip inputs longer than this (default: 256)")
     args = parser.parse_args(argv)
     a, b = args.a.resolve(), args.b.resolve()
-    named = requests(b, args.max_size)
+    named = requests(b)
     batch = [(request_argv, held) for _name, request_argv, held in named]
     try:
         sides = counts(a, batch), counts(b, batch)
