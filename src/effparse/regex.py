@@ -372,17 +372,22 @@ EPSILON = Epsilon()
 
 
 def tree_yield(t: ParseTree) -> str:
-    """The string a parse tree spells out, leaf to leaf (recursively)."""
-    if isinstance(t, UnitT):
-        return ""
-    if isinstance(t, CharT):
-        return t.char
-    if isinstance(t, (LeftT, RightT)):
-        return tree_yield(t.item)
-    if isinstance(t, PairT):
-        return tree_yield(t.first) + tree_yield(t.second)
-    assert isinstance(t, ListT)
-    return "".join(tree_yield(item) for item in t.items)
+    """The string a parse tree spells out, leaf to leaf.  Pending subtrees
+    wait on a stack, so depth costs only memory."""
+    out: list[str] = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, CharT):
+            out.append(t.char)
+        elif isinstance(t, (LeftT, RightT)):
+            todo.append(t.item)
+        elif isinstance(t, PairT):
+            todo += (t.second, t.first)
+        elif not isinstance(t, UnitT):
+            assert isinstance(t, ListT)
+            todo.extend(reversed(t.items))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -395,29 +400,31 @@ def is_match(r: Regex, s: str, t: ParseTree) -> bool:
 
     A witness spells exactly its yield, so this is the inductive relation:
     ``t`` must fit ``r`` in shape and in characters, and its yield must be
-    ``s``.  Linear in the size of ``t``.  A desk-scale oracle, called by
-    no command: it recurses once per level of ``r`` and of ``t``.
+    ``s``.  Linear in the size of ``t``, and called by no command.  Both
+    walks keep pending subtrees on a stack, so depth costs only memory.
     """
     return _fits(r, t) and tree_yield(t) == s
 
 
 def _fits(r: Regex, t: ParseTree) -> bool:
     """Does ``t`` witness some string for ``r``?  It must fit ``r`` in shape,
-    and each character leaf must hold the regex's character."""
-    if isinstance(r, Empty):
-        return False
-    if isinstance(r, Epsilon):
-        return isinstance(t, UnitT)
-    if isinstance(r, Singleton):
-        return isinstance(t, CharT) and t.char == r.char
-    if isinstance(r, Alt):
-        if isinstance(t, (LeftT, RightT)):
-            return _fits(r.left if isinstance(t, LeftT) else r.right, t.item)
-        return False
-    if isinstance(r, Cat):
-        return isinstance(t, PairT) and _fits(r.left, t.first) and _fits(r.right, t.second)
-    assert isinstance(r, Star)
-    return isinstance(t, ListT) and all(_fits(r.body, item) for item in t.items)
+    and each character leaf must hold the regex's character.  Pending
+    (regex, subtree) pairs wait on a stack, so depth costs only memory."""
+    todo = [(r, t)]
+    while todo:
+        r, t = todo.pop()
+        if isinstance(r, Alt) and isinstance(t, (LeftT, RightT)):
+            todo.append((r.left if isinstance(t, LeftT) else r.right, t.item))
+        elif isinstance(r, Cat) and isinstance(t, PairT):
+            todo += ((r.right, t.second), (r.left, t.first))
+        elif isinstance(r, Star) and isinstance(t, ListT):
+            todo += ((r.body, item) for item in t.items)
+        elif isinstance(r, Singleton):
+            if not (isinstance(t, CharT) and t.char == r.char):
+                return False
+        elif not (isinstance(r, Epsilon) and isinstance(t, UnitT)):
+            return False
+    return True
 
 
 def _lengths(q: Regex, lo: int, hi: int) -> range:

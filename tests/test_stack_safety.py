@@ -4,8 +4,8 @@ The interpreter keeps pending branches and continuations as data, and the
 tree printers keep pending nodes on a stack, so how deep a run goes or a
 result nests is bounded by memory, not by the Python stack.  The
 derivative matcher recurses on simplified derivatives, which stay few and
-small, and ``is_match`` recurses once per level of the regex, so neither
-goes deeper as the input grows.  The regex parser keeps open groups on a
+small, so it goes no deeper as the input grows, and ``is_match`` walks the
+regex and the witness on explicit stacks.  The regex parser keeps open groups on a
 stack, and derivatives, sizes and printed forms of regexes are computed on
 explicit stacks too, so a pattern may nest as deep as memory allows.
 ``handle_rec`` answers a body's reads in a loop, ``bind`` queues its
@@ -78,6 +78,7 @@ from effparse.regex import (
     Star,
     derivative,
     dmatch_handled,
+    dmatch_run,
     format_regex,
     is_match,
     match_fn,
@@ -85,6 +86,7 @@ from effparse.regex import (
     nullable,
     parse_regex,
     regex_size,
+    tree_yield,
 )
 from effparse.semantics import SemanticsRow, in_language, pt_all, pt_any, results_demonic, wp
 
@@ -224,6 +226,16 @@ def test_is_match_on_a_4096_character_witness() -> None:
     t = ListT((PairT(CharT("a"), CharT("b")),) * 2048)
     assert is_match(r, "ab" * 2048, t)
     assert not is_match(r, "ab" * 2047 + "ba", t)
+
+
+def test_is_match_on_the_witness_of_a_ten_thousand_character_concatenation() -> None:
+    # The witness nests 10^4 pairs deep.
+    n = 10_000
+    r = parse_regex(" ".join("a" * n))
+    (t,) = dmatch_run(r, "a" * n)
+    assert tree_yield(t) == "a" * n
+    assert is_match(r, "a" * n, t)
+    assert not is_match(r, "a" * (n - 1) + "b", t)
 
 
 @pytest.mark.parametrize(
