@@ -3,25 +3,23 @@
 
     python3 tools/bench_pairs.py A B [--workload W] [--pairs 10] [--seed 1] > BENCH_<pr>.json
 
-``A`` is the parent's checkout root and ``B`` the change's.  For each pair
-and workload (by default all three), B's ``BENCHMARK.json`` ``command`` runs
-in each checkout as a child process on this interpreter, with ``--workload
-W --seed S --seconds <run_seconds>``; odd pairs run A first.  Each child
-gets its own empty ``PYTHONPYCACHEPREFIX``, so both sides' ``setup_s`` time
-the same cold import.  A child's last stdout line is its result.  If a
-child exits non-zero or reports ``"correct": false``, this names the side
-and the pair and exits 1.
+``A`` and ``B`` are the parent's and the change's checkout roots.  For each
+pair and workload (default: all three), B's ``BENCHMARK.json`` command runs
+in each checkout as a child on this interpreter, with ``--workload W --seed
+S --seconds <run_seconds>``, A first in odd pairs.  Each child gets an empty
+``PYTHONPYCACHEPREFIX``, so both sides' ``setup_s`` time a cold import.  Its
+last stdout line is its result; if it exits non-zero or is not ``correct``,
+this names the side and the pair and exits 1.
 
-Writes the runs (``runs[workload][seed][side]``), each metric's median and
-quartiles per side (``statistics.quantiles``, inclusive method), the failed
-requests per side, and ``verdicts[workload][metric]``, which stderr repeats
-one line each:
+Writes ``runs[workload][seed][side]``, each metric's median and quartiles
+per side (inclusive method), the failed requests per side, and
+``verdicts[workload][metric]``, which stderr repeats:
 
-* better: at least ten pairs ran, the change wins at least nine tenths of
-  them (ties count for neither side), and the medians differ by more than
-  the parent's interquartile range;
-* worse: the change's median is worse than the parent's by more than the
-  metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent's;
+* better: at least ten pairs, the change wins nine tenths of them (ties
+  count for neither), and the medians differ by more than the parent's
+  interquartile range;
+* worse: the change's median is worse by more than the metric's ``bound``
+  in ``BENCHMARK.json``, a fraction of the parent's;
 * unresolved: the parent's interquartile range is wider than that bound;
 * within noise: anything else.
 """
@@ -73,13 +71,11 @@ def _verdict(metric: dict, parent: list[float], change: list[float]) -> str:
 
 def summary(runs: dict, end_to_end: list[dict]) -> dict:
     """``medians``, ``failed`` and ``verdicts`` of ``runs[workload][seed][side]``."""
-    medians: dict = {}
-    verdicts: dict = {}
+    medians, verdicts = {}, {}
     failed = dict.fromkeys(SIDES, 0)
     for workload, by_seed in runs.items():
         ((seed, by_side),) = by_seed.items()
-        for side in SIDES:
-            failed[side] += sum(run["failed"] for run in by_side[side])
+        failed = {side: failed[side] + sum(run["failed"] for run in by_side[side]) for side in SIDES}
         medians[workload] = {seed: {}}
         verdicts[workload] = {}
         for metric in end_to_end:
@@ -96,8 +92,7 @@ def _describe(root: Path) -> str:
 
 
 def bench_pairs(a: Path, b: Path, workloads: list[str], pairs: int, seed: int, seconds: float | None = None) -> dict:
-    """Run the pairs and return the JSON object this writes; ``seconds``
-    defaults to ``run_seconds`` in B's ``BENCHMARK.json``."""
+    """The JSON object this writes; ``seconds`` defaults to B's ``run_seconds``."""
     bench = json.loads((b / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"] if seconds is None else seconds
     command = [sys.executable if part == "python3" else part for part in bench["command"]]
@@ -106,8 +101,8 @@ def bench_pairs(a: Path, b: Path, workloads: list[str], pairs: int, seed: int, s
         for workload in workloads:
             for side in SIDES if pair % 2 else SIDES[::-1]:
                 flags = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-                where = f"{side} ({workload}, pair {pair})"
-                runs[workload][str(seed)][side].append(_result(a if side == "parent" else b, command + flags, where))
+                result = _result(a if side == "parent" else b, command + flags, f"{side} ({workload}, pair {pair})")
+                runs[workload][str(seed)][side].append(result)
     return {
         "command": " ".join(bench["command"] + ["--workload <workload> --seed <seed> --seconds", str(seconds)]),
         "sides": {"parent": _describe(a), "change": _describe(b)},
@@ -129,8 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads = [args.workload] if args.workload else list(WORKLOADS)
     report = bench_pairs(args.a.resolve(), args.b.resolve(), workloads, args.pairs, args.seed)
     for workload, verdicts in report["verdicts"].items():
-        for name, verdict in verdicts.items():
-            print(f"{workload} {name}: {verdict}", file=sys.stderr)
+        print("\n".join(f"{workload} {name}: {verdict}" for name, verdict in verdicts.items()), file=sys.stderr)
     print(json.dumps(report, indent=1))
     return 0
 
