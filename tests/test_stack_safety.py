@@ -5,9 +5,10 @@ tree printers keep pending nodes on a stack, so how deep a run goes or a
 result nests is bounded by memory, not by the Python stack.  The
 derivative matcher recurses on simplified derivatives, which stay few and
 small, so it goes no deeper as the input grows, and ``is_match`` walks the
-regex and the witness on explicit stacks.  The regex parser keeps open groups on a
-stack, and derivatives, sizes and printed forms of regexes are computed on
-explicit stacks too, so a pattern may nest as deep as memory allows.
+regex and the witness on explicit stacks.  The regex parser keeps open
+groups on a stack, and derivatives, sizes and printed forms of regexes are
+computed on explicit stacks too, so a pattern may nest as deep as memory
+allows.
 ``handle_rec`` answers a body's reads in a loop, ``bind`` queues its
 continuations on the resumption, ``wp`` and the left-recursion analysis
 keep their pending work on explicit stacks, and the structural matcher

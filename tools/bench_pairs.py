@@ -71,11 +71,11 @@ def _verdict(metric: dict, parent: list[float], change: list[float]) -> str:
 
 def summary(runs: dict, end_to_end: list[dict]) -> dict:
     """``medians``, ``failed`` and ``verdicts`` of ``runs[workload][seed][side]``."""
-    medians, verdicts = {}, {}
-    failed = dict.fromkeys(SIDES, 0)
+    medians, verdicts, failed = {}, {}, dict.fromkeys(SIDES, 0)
     for workload, by_seed in runs.items():
         ((seed, by_side),) = by_seed.items()
-        failed = {side: failed[side] + sum(run["failed"] for run in by_side[side]) for side in SIDES}
+        for side in SIDES:
+            failed[side] += sum(run["failed"] for run in by_side[side])
         medians[workload] = {seed: {}}
         verdicts[workload] = {}
         for metric in end_to_end:
